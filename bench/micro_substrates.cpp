@@ -18,6 +18,7 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <numeric>
 #include <tuple>
 #include <utility>
 
@@ -482,6 +483,81 @@ runMatmulSimdBench(bench::BenchJsonWriter &json)
 }
 
 // ---------------------------------------------------------------------
+// Feature-space brute-force k-NN at DGCNN's ec2 / ec4 search shapes
+// (n = 1024 rows, k = 20, 64-d and 128-d): one knnInto per query vs
+// the query-blocked knnRowsInto, with SIMD and under forced scalar.
+// Single thread; all three must return identical NITs.
+// ---------------------------------------------------------------------
+
+constexpr int kKnnFeatureReps = 9;
+
+void
+runKnnFeatureBench(bench::BenchJsonWriter &json)
+{
+    constexpr int32_t kN = 1024;
+    constexpr int32_t kK = 20;
+    constexpr size_t kOut = static_cast<size_t>(kN) * kK;
+
+    Table t("Feature-space brute-force k-NN — n=" + std::to_string(kN) +
+                ", k=" + std::to_string(kK) + " (single thread)",
+            {"dim", "Path", "Median ms", "p90 ms"});
+    for (int32_t dim : {64, 128}) {
+        Rng rng(41 + static_cast<uint64_t>(dim));
+        tensor::Tensor feat = tensor::uniform(rng, kN, dim, -1.0f, 1.0f);
+        neighbor::PointsView view(feat.data(), kN, dim);
+        auto backend = neighbor::makeBackendByName("brute_force", view);
+        std::vector<int32_t> rows(kN);
+        std::iota(rows.begin(), rows.end(), 0);
+        std::vector<int32_t> perQuery(kOut), blocked(kOut),
+            blockedScalar(kOut);
+
+        auto samples = runInterleaved(
+            kKnnFeatureReps,
+            {[&] {
+                 for (int32_t i = 0; i < kN; ++i)
+                     backend->knnInto(view.row(i), kK,
+                                      perQuery.data() +
+                                          static_cast<size_t>(i) * kK);
+             },
+             [&] {
+                 backend->knnRowsInto(rows.data(), kN, kK,
+                                      blocked.data());
+             },
+             [&] {
+                 bool prev = simd::forceScalar();
+                 simd::setForceScalar(true);
+                 backend->knnRowsInto(rows.data(), kN, kK,
+                                      blockedScalar.data());
+                 simd::setForceScalar(prev);
+             }});
+        MESO_CHECK(blocked == perQuery && blockedScalar == perQuery,
+                   "batched k-NN diverged from per-query k-NN at dim "
+                       << dim);
+
+        const char *paths[] = {"per-query knnInto", "knnRowsInto",
+                               "knnRowsInto (forced scalar)"};
+        for (size_t v = 0; v < samples.size(); ++v)
+            t.addRow({std::to_string(dim), paths[v],
+                      fmt(percentile(samples[v], 50.0), 3),
+                      fmt(percentile(samples[v], 90.0), 3)});
+
+        auto params = [&](bool forcedScalar) {
+            return std::vector<std::pair<std::string, std::string>>{
+                {"n", std::to_string(kN)},
+                {"k", std::to_string(kK)},
+                {"dim", std::to_string(dim)},
+                {"isa", simd::kIsa},
+                {"simd_width", simdWidthStr(forcedScalar)},
+            };
+        };
+        json.add("knn_feature_per_query", params(false), samples[0]);
+        json.add("knn_feature_rows", params(false), samples[1]);
+        json.add("knn_feature_rows_scalar", params(true), samples[2]);
+    }
+    t.print();
+}
+
+// ---------------------------------------------------------------------
 // Compile-once plan runtime: the sequential reference executor per
 // request vs one compiled engine evaluated over a warm context — the
 // compile/eval split's cost trajectory (plus the one-off compile).
@@ -524,24 +600,24 @@ runPlanRuntimeBench(bench::BenchJsonWriter &json)
          [&] {
              planOut = plan.execute(cloud, 7, *ctx);
          }});
-    const auto &rebuild = samples[0];
+    const auto &reference = samples[0];
     const auto &planExec = samples[1];
     MESO_CHECK(planOut.maxAbsDiff(refOut) == 0.0f,
                "compiled plan diverged from the reference executor");
 
-    double medRebuild = percentile(rebuild, 50.0);
+    double medReference = percentile(reference, 50.0);
     double medPlan = percentile(planExec, 50.0);
     Table t("Plan runtime — " + cfg.name + " (delayed pipeline)",
             {"Path", "Median ms", "p90 ms"});
-    t.addRow({"reference executor per run", fmt(medRebuild, 3),
-              fmt(percentile(rebuild, 90.0), 3)});
+    t.addRow({"reference executor per run", fmt(medReference, 3),
+              fmt(percentile(reference, 90.0), 3)});
     t.addRow({"plan execute (compiled)", fmt(medPlan, 3),
               fmt(percentile(planExec, 90.0), 3)});
     t.addRow({"plan compile (one-off)", fmt(percentile(compileMs, 50.0), 3),
               fmt(percentile(compileMs, 90.0), 3)});
     t.print();
     std::cout << "plan speedup over the reference executor: "
-              << fmtX(medPlan > 0.0 ? medRebuild / medPlan : 0.0)
+              << fmtX(medPlan > 0.0 ? medReference / medPlan : 0.0)
               << "   arena "
               << plan.stats().arenaFloats * 4 / 1024 << " KiB vs "
               << plan.stats().naiveFloats * 4 / 1024
@@ -559,7 +635,8 @@ runPlanRuntimeBench(bench::BenchJsonWriter &json)
             {"simd_width", simdWidthStr()},
         };
     };
-    json.add("graph_rebuild_per_run", params("graph_rebuild"), rebuild);
+    json.add("reference_run_per_cloud", params("reference_run"),
+             reference);
     json.add("plan_execute", params("plan_execute"), planExec);
     json.add("plan_compile", params("plan_compile"), compileMs);
 }
@@ -845,6 +922,7 @@ main(int argc, char **argv)
     bench::BenchJsonWriter json("micro_substrates");
     runMatmulSimdBench(json);
     runAggKernelBench(json);
+    runKnnFeatureBench(json);
     runPlanRuntimeBench(json);
     runPlanOptimizerBench(json);
     runEngineArtifactBench(json);

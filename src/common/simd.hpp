@@ -18,7 +18,8 @@
  *  - VecF is a thin value wrapper: load/store (always unaligned — tensor
  *    rows and workspace buffers carry no alignment guarantee, and
  *    unaligned loads are free on every target we build for), broadcast,
- *    add/sub/mul, compare-less-than and blend.
+ *    add/sub/mul, compare-less-than, blend and a transposed 4-register
+ *    store.
  *  - Bitwise scalar parity is a hard contract. Kernels built on VecF
  *    must produce byte-identical results to their scalar fallbacks, so
  *    the header deliberately exposes no FMA (mul+add keeps scalar
@@ -227,6 +228,44 @@ minOrdered(VecF a, VecF b)
     return {_mm_min_ps(b.v, a.v)};
 #else
     return blend(cmpLt(b, a), b, a);
+#endif
+}
+
+/** Store the 4 x kWidth block held in r0..r3 transposed: lane l of
+ *  r_c goes to p[l * ld + c], i.e. kWidth rows of 4 floats, @p ld
+ *  floats apart. Pure data movement, so bitwise by construction. */
+inline void
+storeTransposed4(VecF r0, VecF r1, VecF r2, VecF r3, float *p, int64_t ld)
+{
+#if defined(MESORASI_SIMD_AVX2)
+    __m256 t0 = _mm256_unpacklo_ps(r0.v, r1.v);
+    __m256 t1 = _mm256_unpackhi_ps(r0.v, r1.v);
+    __m256 t2 = _mm256_unpacklo_ps(r2.v, r3.v);
+    __m256 t3 = _mm256_unpackhi_ps(r2.v, r3.v);
+    // Each 128-bit half of u_l holds lane l (low) / l + 4 (high).
+    __m256 u[4] = {_mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0)),
+                   _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2)),
+                   _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0)),
+                   _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2))};
+    for (int l = 0; l < 4; ++l) {
+        _mm_storeu_ps(p + l * ld, _mm256_castps256_ps128(u[l]));
+        _mm_storeu_ps(p + (l + 4) * ld, _mm256_extractf128_ps(u[l], 1));
+    }
+#elif defined(MESORASI_SIMD_SSE2)
+    _MM_TRANSPOSE4_PS(r0.v, r1.v, r2.v, r3.v);
+    _mm_storeu_ps(p, r0.v);
+    _mm_storeu_ps(p + ld, r1.v);
+    _mm_storeu_ps(p + 2 * ld, r2.v);
+    _mm_storeu_ps(p + 3 * ld, r3.v);
+#else
+    float t[4][kWidth];
+    r0.store(t[0]);
+    r1.store(t[1]);
+    r2.store(t[2]);
+    r3.store(t[3]);
+    for (int l = 0; l < kWidth; ++l)
+        for (int c = 0; c < 4; ++c)
+            p[l * ld + c] = t[c][l];
 #endif
 }
 

@@ -41,8 +41,9 @@ class Workspace
     // other per-thread scratch must use kScratch or above, or it will
     // be clobbered by an MLP forward on the same thread. The two
     // distance slots belong to the batched neighbor dist2 kernels:
-    // kDistSoA holds the gathered SoA candidate coordinates inside
-    // dist2Batch itself, kDistOut is for the caller's d2 result array.
+    // kDistSoA holds the gathered SoA candidate coordinates (or the
+    // transposed query block of dist2Block) inside the kernel itself,
+    // kDistOut is for the caller's d2 result array.
     // They are separate from kScratch because neighbor queries run
     // inside loops that already hold kScratch pointers (e.g. the
     // interp executor's weight buffer).

@@ -23,6 +23,7 @@
 #include "common/workspace.hpp"
 #include "core/plan/engine.hpp"
 #include "geom/sampling.hpp"
+#include "neighbor/dist_batch.hpp"
 #include "tensor/ops.hpp"
 
 namespace mesorasi::core::plan {
@@ -354,20 +355,26 @@ bakeOne(const OpDesc &d, const CompiledEngine &eng)
             }
             int32_t *flat = m.nitFlat.data();
             const int32_t *cent = m.centroids.data();
+            if (knnQ) {
+                // One batched call per chunk: the centroids are rows of
+                // the searched view, so brute force answers them a
+                // query block at a time.
+                ThreadPool::global().parallelFor(
+                    nOut, neighbor::kQueryBlock,
+                    [&](int64_t lo, int64_t hi) {
+                        backend->knnRowsInto(cent + lo,
+                                             static_cast<int32_t>(hi - lo),
+                                             k, flat + lo * k);
+                    });
+                return;
+            }
             ThreadPool::global().parallelFor(
                 nOut, /*grain=*/4, [&](int64_t lo, int64_t hi) {
                     for (int64_t c = lo; c < hi; ++c) {
-                        const float *q =
-                            view.row(cent[static_cast<size_t>(c)]);
                         int32_t *row = flat + c * k;
-                        if (knnQ) {
-                            backend->knnInto(q, k, row);
-                        } else {
-                            int32_t cnt = backend->radiusInto(q, radius,
-                                                              k, row);
-                            padNitRow(row, cnt, k,
-                                      cent[static_cast<size_t>(c)]);
-                        }
+                        int32_t cnt = backend->radiusInto(
+                            view.row(cent[c]), radius, k, row);
+                        padNitRow(row, cnt, k, cent[c]);
                     }
                 });
         };

@@ -1,6 +1,8 @@
 #include "neighbor/brute_force.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/workspace.hpp"
@@ -42,6 +44,47 @@ collectInBall(const PointsView &points, const float *query, float radius,
     std::sort(found.begin(), found.end());
 }
 
+/**
+ * The k-NN ranking every brute-force path shares: writes the k
+ * nearest of candidates [0, n), given their squared distances, to
+ * out[0..k) in (distance, index) order — the ordering contract shared
+ * by every search backend. One bounded sorted insertion over the
+ * ranking scratch, in candidate (= index) order: past the first k, a
+ * candidate enters only if strictly below the current k-th distance,
+ * so ties keep the smaller index. A NaN distance ranks as +infinity:
+ * it never passes the strict test, and among the first k it enters as
+ * +infinity, behind every finite distance.
+ */
+void
+selectNearest(const float *d2, int32_t n, int32_t k, int32_t *out)
+{
+    std::vector<std::pair<float, int32_t>> &best = rankScratch();
+    best.resize(static_cast<size_t>(k));
+    // Insert (d, i) at or before slot @p pos, shifting farther entries
+    // back; an equal distance stays ahead (its index is smaller).
+    auto insert = [&](int32_t pos, float d, int32_t i) {
+        for (; pos > 0 && d < best[static_cast<size_t>(pos - 1)].first;
+             --pos)
+            best[static_cast<size_t>(pos)] =
+                best[static_cast<size_t>(pos - 1)];
+        best[static_cast<size_t>(pos)] = {d, i};
+    };
+    for (int32_t i = 0; i < k; ++i)
+        insert(i,
+               std::isnan(d2[i]) ? std::numeric_limits<float>::infinity()
+                                 : d2[i],
+               i);
+    float kth = best[static_cast<size_t>(k - 1)].first;
+    for (int32_t i = k; i < n; ++i) {
+        if (d2[i] < kth) {
+            insert(k - 1, d2[i], i);
+            kth = best[static_cast<size_t>(k - 1)].first;
+        }
+    }
+    for (int32_t j = 0; j < k; ++j)
+        out[j] = best[static_cast<size_t>(j)].second;
+}
+
 } // namespace
 
 void
@@ -58,15 +101,28 @@ knnScanInto(const PointsView &points, const float *query, int32_t k,
     Workspace::ScopedClaim claim(ws, Workspace::kDistOut);
     float *d2 = ws.floats(Workspace::kDistOut, static_cast<size_t>(n));
     dist2Range(points, 0, n, query, d2);
-    std::vector<std::pair<float, int32_t>> &dists = rankScratch();
-    dists.resize(static_cast<size_t>(n));
-    for (int32_t i = 0; i < n; ++i)
-        dists[static_cast<size_t>(i)] = {d2[i], i};
-    // Pair comparison sorts by (distance, index): ties break by index,
-    // the ordering contract shared by every search backend.
-    std::partial_sort(dists.begin(), dists.begin() + k, dists.end());
-    for (int32_t j = 0; j < k; ++j)
-        out[j] = dists[static_cast<size_t>(j)].second;
+    selectNearest(d2, n, k, out);
+}
+
+void
+knnScanRowsInto(const PointsView &points, const int32_t *rows, int32_t nq,
+                int32_t k, int32_t *out)
+{
+    MESO_REQUIRE(k > 0 && k <= points.size(),
+                 "k=" << k << " with " << points.size() << " points");
+    int32_t n = points.size();
+    Workspace &ws = Workspace::local();
+    Workspace::ScopedClaim claim(ws, Workspace::kDistOut);
+    float *d2 = ws.floats(Workspace::kDistOut,
+                          static_cast<size_t>(std::min(nq, kQueryBlock)) *
+                              n);
+    for (int32_t b = 0; b < nq; b += kQueryBlock) {
+        int32_t m = std::min(kQueryBlock, nq - b);
+        dist2Block(points, rows + b, m, d2);
+        for (int32_t j = 0; j < m; ++j)
+            selectNearest(d2 + static_cast<size_t>(j) * n, n, k,
+                          out + static_cast<size_t>(b + j) * k);
+    }
 }
 
 std::vector<int32_t>

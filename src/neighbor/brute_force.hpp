@@ -19,6 +19,12 @@ namespace mesorasi::neighbor {
  * floats) by exhaustive scan, sorted by (distance, index). The single
  * source of truth for brute-force ordering semantics — the table
  * builders below and the brute_force SearchBackend both delegate here.
+ *
+ * A NaN distance (a NaN coordinate in the row or the query, e.g. a
+ * poisoned or overflowed feature row searched by a later EdgeConv)
+ * ranks as +infinity, ties broken by index like any other distance: a
+ * NaN row never displaces a finite neighbor, and it comes after every
+ * finite row when k reaches it.
  */
 std::vector<int32_t> knnScan(const PointsView &points, const float *query,
                              int32_t k);
@@ -39,6 +45,18 @@ std::vector<int32_t> radiusScan(const PointsView &points,
  */
 void knnScanInto(const PointsView &points, const float *query, int32_t k,
                  int32_t *out);
+
+/**
+ * knnScanInto for the self-queries points.row(rows[j]), j in [0, nq):
+ * writes k indices per query to out[j * k .. (j + 1) * k), bitwise
+ * identical to one knnScanInto per query. Distances come from
+ * dist2Block (query-blocked SIMD in every dimension) and both paths
+ * rank through one shared selection; the d2 block lives in the
+ * calling thread's Workspace slot kDistOut, so the steady state never
+ * allocates.
+ */
+void knnScanRowsInto(const PointsView &points, const int32_t *rows,
+                     int32_t nq, int32_t k, int32_t *out);
 
 /**
  * radiusScan into caller-owned memory (@p maxK must be positive):

@@ -8,6 +8,7 @@
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
 #include "neighbor/brute_force.hpp"
+#include "neighbor/dist_batch.hpp"
 #include "neighbor/grid.hpp"
 #include "neighbor/kdtree.hpp"
 
@@ -46,6 +47,14 @@ SearchBackend::knnInto(const float *query, int32_t k, int32_t *out) const
     std::copy(nn.begin(), nn.end(), out);
 }
 
+void
+SearchBackend::knnRowsInto(const int32_t *rows, int32_t nq, int32_t k,
+                           int32_t *out) const
+{
+    for (int32_t j = 0; j < nq; ++j)
+        knnInto(points_.row(rows[j]), k, out + static_cast<size_t>(j) * k);
+}
+
 int32_t
 SearchBackend::radiusInto(const float *query, float r, int32_t maxK,
                           int32_t *out) const
@@ -69,19 +78,22 @@ SearchBackend::knnTable(const std::vector<int32_t> &queries,
     for (int32_t q : queries)
         MESO_REQUIRE(q >= 0 && q < points_.size(), "query " << q);
 
-    std::vector<NitEntry> entries(queries.size());
+    std::vector<int32_t> flat(queries.size() * static_cast<size_t>(k));
     ThreadPool::global().parallelFor(
-        static_cast<int64_t>(queries.size()), /*grain=*/4,
+        static_cast<int64_t>(queries.size()), kQueryBlock,
         [&](int64_t begin, int64_t end) {
-            for (int64_t i = begin; i < end; ++i) {
-                entries[i].centroid = queries[i];
-                entries[i].neighbors = knn(points_.row(queries[i]), k);
-            }
+            knnRowsInto(queries.data() + begin,
+                        static_cast<int32_t>(end - begin), k,
+                        flat.data() + begin * k);
         });
 
     NeighborIndexTable nit(k);
-    for (auto &e : entries)
+    for (size_t i = 0; i < queries.size(); ++i) {
+        NitEntry e;
+        e.centroid = queries[i];
+        e.neighbors.assign(flat.begin() + i * k, flat.begin() + (i + 1) * k);
         nit.add(std::move(e));
+    }
     return nit;
 }
 
@@ -150,6 +162,13 @@ class BruteForceBackend final : public SearchBackend
     knnInto(const float *query, int32_t k, int32_t *out) const override
     {
         knnScanInto(points_, query, k, out);
+    }
+
+    void
+    knnRowsInto(const int32_t *rows, int32_t nq, int32_t k,
+                int32_t *out) const override
+    {
+        knnScanRowsInto(points_, rows, nq, k, out);
     }
 
     int32_t

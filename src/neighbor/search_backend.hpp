@@ -93,13 +93,28 @@ class SearchBackend
     virtual void knnInto(const float *query, int32_t k,
                          int32_t *out) const;
 
+    /**
+     * knn for a block of the indexed set's own rows: writes k indices
+     * per query points().row(rows[j]), j in [0, nq), to
+     * out[j * k .. (j + 1) * k). Identical results to one knnInto per
+     * query. The base implementation is exactly that loop, so kdtree,
+     * grid and custom backends keep their per-query behaviour;
+     * brute_force overrides it with the query-blocked SIMD distance
+     * kernel (neighbor/dist_batch.hpp), which answers kQueryBlock
+     * queries per candidate sweep. Self-query table builders call it
+     * once per pool chunk, with chunks of at least kQueryBlock rows.
+     */
+    virtual void knnRowsInto(const int32_t *rows, int32_t nq, int32_t k,
+                             int32_t *out) const;
+
     /** radius into caller-owned memory (@p maxK must be positive):
      *  writes up to maxK indices to @p out, returns the count. Same
      *  override contract as knnInto. */
     virtual int32_t radiusInto(const float *query, float radius,
                                int32_t maxK, int32_t *out) const;
 
-    /** Build a NIT by running knn for each query index. */
+    /** Build a NIT of the k nearest neighbors of each query index,
+     *  through knnRowsInto. */
     NeighborIndexTable knnTable(const std::vector<int32_t> &queries,
                                 int32_t k) const;
 

@@ -348,6 +348,28 @@ TEST(CompiledEngine, ParityLinkedConcatHead)
           PipelineKind::LtdDelayed})
         checkParity(cfg, kind,
                     std::string("edge/") + pipelineName(kind));
+
+    // The reference answers its k-NN through the same batched
+    // brute-force code as the engine, so also check the engine's
+    // feature-space searches against a KD-tree reference run: an
+    // oracle that shares no k-NN code with it.
+    NetworkConfig bf = cfg, kd = cfg;
+    bf.backend = neighbor::Backend::BruteForce;
+    kd.backend = neighbor::Backend::KdTree;
+    PointCloud cloud = cloudFor(cfg);
+    for (PipelineKind kind :
+         {PipelineKind::Original, PipelineKind::Delayed,
+          PipelineKind::LtdDelayed}) {
+        NetworkExecutor execBf(bf, /*weightSeed=*/3);
+        NetworkExecutor execKd(kd, /*weightSeed=*/3);
+        CompiledEngine plan = PlanCompiler::compile(execBf, kind);
+        auto ctx = plan.makeContext();
+        for (uint64_t seed : {1ull, 9ull})
+            expectBitwise(plan.execute(cloud, seed, *ctx),
+                          execKd.run(cloud, kind, seed).logits,
+                          std::string("edge brute_force vs kdtree/") +
+                              pipelineName(kind));
+    }
 }
 
 TEST(CompiledEngine, ParityInterpDecoder)
@@ -497,27 +519,31 @@ TEST(CompiledEngine, ConcurrentContextsAreIndependent)
 
 TEST(CompiledEngine, SteadyStateExecutesWithoutHeapAllocation)
 {
-    NetworkConfig cfg = miniPointNet();
-    cfg.backend = neighbor::Backend::BruteForce; // no per-run index build
-    NetworkExecutor exec(cfg, 3);
-    CompiledEngine plan = PlanCompiler::compile(exec, PipelineKind::Delayed);
-    auto ctx = plan.makeContext();
-    PointCloud cloud = cloudFor(cfg);
+    // 3-D searches (miniPointNet) and feature-space k-NN through the
+    // query-blocked brute-force path (miniEdgeNet).
+    for (NetworkConfig cfg : {miniPointNet(), miniEdgeNet()}) {
+        cfg.backend = neighbor::Backend::BruteForce; // no per-run build
+        NetworkExecutor exec(cfg, 3);
+        CompiledEngine plan =
+            PlanCompiler::compile(exec, PipelineKind::Delayed);
+        auto ctx = plan.makeContext();
+        PointCloud cloud = cloudFor(cfg);
 
-    // All work on this thread so the thread-local hook sees every
-    // allocation; two warm-up passes grow every grow-only buffer.
-    ThreadPool::ScopedForceInline inlineAll;
-    plan.execute(cloud, 7, *ctx);
-    plan.execute(cloud, 7, *ctx);
-
-    int64_t allocs;
-    {
-        AllocCounterScope counter;
+        // All work on this thread so the thread-local hook sees every
+        // allocation; two warm-up passes grow every grow-only buffer.
+        ThreadPool::ScopedForceInline inlineAll;
         plan.execute(cloud, 7, *ctx);
-        allocs = counter.count();
+        plan.execute(cloud, 7, *ctx);
+
+        int64_t allocs;
+        {
+            AllocCounterScope counter;
+            plan.execute(cloud, 7, *ctx);
+            allocs = counter.count();
+        }
+        EXPECT_EQ(allocs, 0)
+            << cfg.name << ": plan.execute allocated in steady state";
     }
-    EXPECT_EQ(allocs, 0)
-        << "plan.execute allocated in steady state";
 }
 
 // --- Compile-time backend resolution ----------------------------------

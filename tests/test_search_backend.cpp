@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -16,6 +18,8 @@
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
 #include "hwsim/agg_unit.hpp"
+#include "neighbor/brute_force.hpp"
+#include "neighbor/dist_batch.hpp"
 #include "neighbor/search_backend.hpp"
 #include "tensor/tensor.hpp"
 
@@ -53,31 +57,128 @@ applicableBackends(int32_t dim)
     return names;
 }
 
+std::vector<int32_t>
+allRows(int32_t n)
+{
+    std::vector<int32_t> q(static_cast<size_t>(n));
+    std::iota(q.begin(), q.end(), 0);
+    return q;
+}
+
+/** Every applicable backend's knnTable, and the per-query
+ *  knnBruteForce oracle, equal brute_force's table. */
+void
+expectKnnParity(const PointsView &v, const std::vector<int32_t> &queries,
+                int32_t k, const std::string &what)
+{
+    SearchHints hints;
+    hints.numQueries = static_cast<int32_t>(queries.size());
+    hints.k = k;
+    auto ref =
+        makeBackendByName("brute_force", v, hints)->knnTable(queries, k);
+    auto oracle = knnBruteForce(v, queries, k);
+    ASSERT_EQ(ref.size(), oracle.size()) << what;
+    for (int32_t i = 0; i < ref.size(); ++i)
+        EXPECT_EQ(ref[i].neighbors, oracle[i].neighbors)
+            << "knnBruteForce " << what << " query " << queries[i];
+    for (const std::string &name : applicableBackends(v.dim())) {
+        auto got = makeBackendByName(name, v, hints)->knnTable(queries, k);
+        ASSERT_EQ(ref.size(), got.size()) << name << " " << what;
+        for (int32_t i = 0; i < ref.size(); ++i)
+            EXPECT_EQ(ref[i].neighbors, got[i].neighbors)
+                << name << " " << what << " query " << queries[i];
+    }
+}
+
 TEST(BackendParity, KnnIdenticalAcrossBackends)
 {
+    // Feature-space shapes (DGCNN's 64-d / 128-d graphs) and k == n
+    // included; the all-rows query set makes pool chunks hold full
+    // query blocks plus tails.
     for (auto [n, dim, k] : {std::tuple<int32_t, int32_t, int32_t>{
                                  400, 3, 16},
                              {150, 3, 8},
                              {200, 8, 12},
-                             {64, 32, 7}}) {
+                             {64, 32, 7},
+                             {1000, 64, 20},
+                             {257, 128, 20},
+                             {45, 16, 45}}) {
         Rng rng(100 + n + dim);
         auto data = randomRows(rng, n, dim);
         PointsView v(data.data(), n, dim);
-        auto queries = someQueries(n);
-        SearchHints hints;
-        hints.numQueries = static_cast<int32_t>(queries.size());
-        hints.k = k;
+        std::string what =
+            "n=" + std::to_string(n) + " dim=" + std::to_string(dim);
+        expectKnnParity(v, someQueries(n), k, what);
+        expectKnnParity(v, allRows(n), k, what + " all rows");
+    }
 
-        auto ref = makeBackendByName("brute_force", v, hints)
-                       ->knnTable(queries, k);
-        for (const std::string &name : applicableBackends(dim)) {
-            auto got =
-                makeBackendByName(name, v, hints)->knnTable(queries, k);
-            ASSERT_EQ(ref.size(), got.size()) << name;
-            for (int32_t i = 0; i < ref.size(); ++i)
-                EXPECT_EQ(ref[i].neighbors, got[i].neighbors)
-                    << name << " n=" << n << " dim=" << dim
-                    << " query " << queries[i];
+    // Duplicate rows: distances tie exactly, so the ranking rests on
+    // the index tie-break alone.
+    for (int32_t dim : {3, 64}) {
+        const int32_t n = 120, distinct = 13;
+        Rng rng(300 + dim);
+        auto base = randomRows(rng, distinct, dim);
+        std::vector<float> data(static_cast<size_t>(n) * dim);
+        for (int32_t i = 0; i < n; ++i)
+            std::copy_n(base.begin() + (i % distinct) * dim, dim,
+                        data.begin() + static_cast<size_t>(i) * dim);
+        PointsView v(data.data(), n, dim);
+        expectKnnParity(v, allRows(n), 20,
+                        "duplicates dim=" + std::to_string(dim));
+    }
+}
+
+TEST(BackendParity, NanRowRanksAfterEveryFiniteRow)
+{
+    // A NaN coordinate makes every distance to that row NaN; the
+    // brute-force ranking treats it as +infinity, ties by index.
+    const int32_t n = 3 * kQueryBlock + 5, dim = 64, bad = 7;
+    Rng rng(12);
+    auto data = randomRows(rng, n, dim);
+    data[static_cast<size_t>(bad) * dim + 5] =
+        std::numeric_limits<float>::quiet_NaN();
+    PointsView v(data.data(), n, dim);
+    auto backend = makeBackendByName("brute_force", v);
+    std::vector<int32_t> rows = allRows(n);
+
+    for (int32_t k : {10, n}) {
+        std::vector<int32_t> block(static_cast<size_t>(n) * k);
+        backend->knnRowsInto(rows.data(), n, k, block.data());
+        for (int32_t q = 0; q < n; ++q) {
+            // Independent oracle: sort the finite (d2, index) pairs,
+            // then the NaN row (all of them, by index, for the NaN
+            // query itself).
+            std::vector<std::pair<float, int32_t>> finite;
+            std::vector<int32_t> expect;
+            for (int32_t i = 0; i < n; ++i) {
+                float d2 = v.dist2(i, q);
+                if (std::isnan(d2))
+                    expect.push_back(i);
+                else
+                    finite.push_back({d2, i});
+            }
+            std::sort(finite.begin(), finite.end());
+            std::vector<int32_t> order;
+            for (const auto &[d2, i] : finite)
+                order.push_back(i);
+            order.insert(order.end(), expect.begin(), expect.end());
+            order.resize(static_cast<size_t>(k));
+
+            std::vector<int32_t> perQuery(static_cast<size_t>(k));
+            backend->knnInto(v.row(q), k, perQuery.data());
+            std::vector<int32_t> blocked(
+                block.begin() + static_cast<size_t>(q) * k,
+                block.begin() + static_cast<size_t>(q + 1) * k);
+            for (const auto &got : {perQuery, blocked}) {
+                EXPECT_EQ(got, order) << "k " << k << " query " << q;
+                if (q != bad && k < n) {
+                    EXPECT_EQ(std::count(got.begin(), got.end(), bad), 0)
+                        << "query " << q;
+                }
+                if (q != bad && k == n) {
+                    EXPECT_EQ(got.back(), bad) << "query " << q;
+                }
+            }
         }
     }
 }

@@ -16,8 +16,9 @@
  *    first gathered row and NaN-dropping from later rows;
  *  - bias / ReLU / batchnorm / subtract epilogues including NaN and
  *    negative zero;
- *  - batched neighbor dist2 kernels (3-D SoA fast path and the
- *    generic-dimension fallback);
+ *  - batched neighbor dist2 kernels (3-D SoA fast path, the
+ *    generic-dimension fallback, and the query-blocked self-query
+ *    kernel in every dimension, padded rows included);
  *  - all 3 neighbor backends, query-level and end-to-end through all 3
  *    pipelines of a ModuleExecutor.
  *
@@ -320,6 +321,45 @@ TEST(SimdParity, Dist2BatchMatchesDist2To)
             neighbor::dist2Range(view, 0, n, q.row(0), range.data());
             for (int32_t i = 0; i < n; ++i)
                 EXPECT_EQ(range[i], view.dist2To(i, q.row(0)));
+        }
+    }
+
+    // The query-blocked self-query kernel: candidate tails (n mod 4),
+    // a partial final query block, and padded rows (ld > dim).
+    const int32_t nq = 2 * neighbor::kQueryBlock + 3;
+    for (int32_t dim : {3, 8, 64, 128}) {
+        for (int32_t n : {3, 37}) {
+            for (int32_t ld : {dim, dim + 5}) {
+                Tensor pts = randomTensor(400 + dim + n + ld, n, ld);
+                neighbor::PointsView view(pts.data(), n, dim, ld);
+                Rng rng(92);
+                std::vector<int32_t> rows(nq);
+                for (auto &r : rows)
+                    r = static_cast<int32_t>(rng.uniformInt(0, n - 1));
+
+                size_t total = static_cast<size_t>(nq) * n;
+                std::vector<float> ref(total), scalar(total),
+                    simdOut(total);
+                for (int32_t j = 0; j < nq; ++j)
+                    for (int32_t i = 0; i < n; ++i)
+                        ref[static_cast<size_t>(j) * n + i] =
+                            view.dist2To(i, view.row(rows[j]));
+                {
+                    ScalarGuard g(true);
+                    neighbor::dist2Block(view, rows.data(), nq,
+                                         scalar.data());
+                }
+                neighbor::dist2Block(view, rows.data(), nq,
+                                     simdOut.data());
+                EXPECT_EQ(std::memcmp(ref.data(), scalar.data(),
+                                      total * sizeof(float)),
+                          0)
+                    << "block dim " << dim << " n " << n << " ld " << ld;
+                EXPECT_EQ(std::memcmp(ref.data(), simdOut.data(),
+                                      total * sizeof(float)),
+                          0)
+                    << "block dim " << dim << " n " << n << " ld " << ld;
+            }
         }
     }
 }
