@@ -11,10 +11,12 @@
  *    the executor. Parameters go through addMlp/addWeight into the
  *    engine-owned tables, so the emitted program serializes and the
  *    executor may die after compile.
- *  - Declared read/write sets are truthful; liveness (DCE, arena
- *    planning) trusts them. Virtual resources carry the non-arena
- *    dataflow: the RNG stream chains RngDraw steps in draw order,
- *    centroid lists and NITs link sample/search to their consumers.
+ *  - Read/write sets are never written here: deriveAccess
+ *    (op_schema.hpp) derives them from each descriptor, and liveness
+ *    (DCE, arena planning) trusts them. Virtual resources carry the
+ *    non-arena dataflow: the RNG stream chains RngDraw steps in draw
+ *    order, centroid lists and NITs link sample/search to their
+ *    consumers.
  *  - Step order reproduces the sequential reference exactly — the RNG
  *    draws replay NetworkExecutor::run's sampler stream, and
  *    per-element kernel order is identical, so engine logits are
@@ -29,6 +31,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "core/plan/op_schema.hpp"
 
 namespace mesorasi::core::plan {
 
@@ -52,7 +55,8 @@ struct Build
         return ir.addBuffer(rows, cols);
     }
 
-    /** Append a step; the caller fills in desc and reads/writes. */
+    /** Append a step; the caller fills in its descriptor (the access
+     *  sets derive from the op schema once the program is complete). */
     StepIR &
     emit(StageKind kind, std::string name)
     {
@@ -193,8 +197,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
         s.desc.mod = static_cast<int32_t>(d.mod);
         s.desc.rows = d.want;
         s.desc.srcRows = d.n;
-        s.reads = {kResRng};
-        s.writes = {virtCentroids(d.mod), kResRng};
     }
 
     // --- Input materialization. -------------------------------------
@@ -206,7 +208,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
         s.desc.out = inBuf;
         s.desc.rows = n0;
         s.desc.cols = 3;
-        s.writes = {inBuf};
     }
 
     LevelBuf level{inBuf, inBuf, n0, 3};
@@ -232,8 +233,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
             s.desc.out = inFeat;
             s.desc.rows = level.n;
             s.desc.cols = mIn;
-            s.reads = chainBufs;
-            s.writes = {inFeat};
         } else {
             inFeat = cfg.linkedInputs ? chainBufs[0] : level.feat;
         }
@@ -262,13 +261,8 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
             s.desc.rows = want;
             s.desc.srcRows = nIn;
             s.desc.mode = static_cast<int32_t>(mode);
-            if (mode == SampleMode::Fps) {
+            if (mode == SampleMode::Fps)
                 s.desc.in = inCoords;
-                s.reads.push_back(inCoords);
-            } else if (mode == SampleMode::Random) {
-                s.reads.push_back(virtCentroids(i)); // sorts the draws
-            }
-            s.writes = {virtCentroids(i)};
         }
 
         int32_t nOut = io.nOut;
@@ -288,8 +282,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                 s.desc.out = tmp;
                 s.desc.rows = nIn;
                 s.desc.cols = mOut;
-                s.reads = {inFeat};
-                s.writes = {tmp};
             }
 
             outFeat = b.make(1, mOut);
@@ -302,8 +294,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                 s.desc.rows = 1;
                 s.desc.cols = mOut;
                 s.desc.srcRows = nIn;
-                s.reads = {tmp};
-                s.writes = {outFeat};
             }
 
             outCoords = b.make(1, 3);
@@ -313,7 +303,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                 s.desc.out = outCoords;
                 s.desc.rows = 1;
                 s.desc.cols = 3;
-                s.writes = {outCoords};
             }
         } else {
             // Search: fill the flat NIT with the compile-resolved
@@ -336,8 +325,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                 s.desc.radius = mc.radius;
                 s.desc.backend = static_cast<int32_t>(info.backend);
                 s.desc.custom = mc.customBackend;
-                s.reads = {spaceBuf, virtCentroids(i)};
-                s.writes = {virtNit(i)};
             }
 
             bool concat = mc.aggregation ==
@@ -373,8 +360,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                         s.desc.rows = nIn;
                         s.desc.cols = h;
                         s.desc.weightId = b.addWeight(std::move(wd));
-                        s.reads = {inFeat};
-                        s.writes = {p};
                     }
                     {
                         StepIR &s =
@@ -385,8 +370,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                         s.desc.rows = nIn;
                         s.desc.cols = h;
                         s.desc.weightId = b.addWeight(std::move(wcd));
-                        s.reads = {inFeat};
-                        s.writes = {q};
                     }
                     if (l0.hasBias()) {
                         StepIR &s = b.emit(StageKind::Feature,
@@ -397,8 +380,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                         s.desc.cols = h;
                         s.desc.biasId = b.addWeight(l0.bias());
                         s.desc.relu = false;
-                        s.reads = {q}; // in-place update
-                        s.writes = {q};
                     }
 
                     outFeat = b.make(nOut, mOut);
@@ -415,8 +396,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                         s.desc.mod = static_cast<int32_t>(i);
                         s.desc.k = k;
                         s.desc.srcRows = nIn;
-                        s.reads = {p, virtNit(i)};
-                        s.writes = {outFeat};
                     }
                     {
                         StepIR &s = b.emit(StageKind::Aggregate,
@@ -428,8 +407,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                         s.desc.cols = mOut;
                         s.desc.mod = static_cast<int32_t>(i);
                         s.desc.relu = isRelu;
-                        s.reads = {outFeat, q, virtCentroids(i)};
-                        s.writes = {outFeat};
                     }
                 } else {
                     // PFT over raw inputs, fused gather + max-before-
@@ -444,8 +421,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                         s.desc.out = pft;
                         s.desc.rows = nIn;
                         s.desc.cols = mOut;
-                        s.reads = {inFeat};
-                        s.writes = {pft};
                     }
 
                     outFeat = b.make(nOut, mOut);
@@ -460,8 +435,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                         s.desc.mod = static_cast<int32_t>(i);
                         s.desc.k = k;
                         s.desc.srcRows = nIn;
-                        s.reads = {pft, virtNit(i)};
-                        s.writes = {outFeat};
                     }
                     {
                         StepIR &s = b.emit(StageKind::Aggregate,
@@ -472,8 +445,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                         s.desc.rows = nOut;
                         s.desc.cols = mOut;
                         s.desc.mod = static_cast<int32_t>(i);
-                        s.reads = {outFeat, pft, virtCentroids(i)};
-                        s.writes = {outFeat};
                     }
                 }
                 break;
@@ -496,8 +467,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                     s.desc.k = k;
                     s.desc.srcRows = nIn;
                     s.desc.concat = concat;
-                    s.reads = {inFeat, virtNit(i), virtCentroids(i)};
-                    s.writes = {batched};
                 }
 
                 int32_t feat = b.make(rows, mOut);
@@ -510,8 +479,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                     s.desc.out = feat;
                     s.desc.rows = rows;
                     s.desc.cols = mOut;
-                    s.reads = {batched};
-                    s.writes = {feat};
                 }
 
                 outFeat = b.make(nOut, mOut);
@@ -524,8 +491,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                     s.desc.rows = nOut;
                     s.desc.cols = mOut;
                     s.desc.k = k;
-                    s.reads = {feat};
-                    s.writes = {outFeat};
                 }
                 break;
               }
@@ -549,8 +514,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                     s.desc.rows = nIn;
                     s.desc.cols = h1;
                     s.desc.weightId = b.addWeight(l0.weight());
-                    s.reads = {inFeat};
-                    s.writes = {pft1};
                 }
 
                 int32_t batched = b.make(rows, h1);
@@ -567,8 +530,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                     s.desc.k = k;
                     s.desc.srcRows = nIn;
                     s.desc.concat = false;
-                    s.reads = {pft1, virtNit(i), virtCentroids(i)};
-                    s.writes = {batched};
                 }
 
                 // Tail: layer-0 bias/activation in place, then the
@@ -585,8 +546,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                         l0.hasBias() ? b.addWeight(l0.bias()) : -1;
                     s.desc.relu =
                         l0.activation() == nn::Activation::Relu;
-                    s.reads = {batched}; // in-place update
-                    s.writes = {batched};
                 }
                 int32_t feat = batched;
                 if (numLayers > 1) {
@@ -600,8 +559,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                     s.desc.rows = rows;
                     s.desc.cols = mOut;
                     s.desc.firstLayer = 1;
-                    s.reads = {batched};
-                    s.writes = {feat};
                 }
 
                 outFeat = b.make(nOut, mOut);
@@ -614,8 +571,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                     s.desc.rows = nOut;
                     s.desc.cols = mOut;
                     s.desc.k = k;
-                    s.reads = {feat};
-                    s.writes = {outFeat};
                 }
                 break;
               }
@@ -631,8 +586,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                 s.desc.rows = nOut;
                 s.desc.cols = 3;
                 s.desc.mod = static_cast<int32_t>(i);
-                s.reads = {inCoords, virtCentroids(i)};
-                s.writes = {outCoords};
             }
         }
 
@@ -663,8 +616,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
             s.desc.out = cat;
             s.desc.rows = rows;
             s.desc.cols = concatDim;
-            s.reads = moduleOutBufs;
-            s.writes = {cat};
         }
 
         const nn::Mlp *gmlp = exec.globalMlp();
@@ -678,8 +629,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
             s.desc.out = gl;
             s.desc.rows = rows;
             s.desc.cols = g;
-            s.reads = {cat};
-            s.writes = {gl};
         }
 
         int32_t pooled = b.make(1, g);
@@ -691,8 +640,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
             s.desc.rows = 1;
             s.desc.cols = g;
             s.desc.srcRows = rows;
-            s.reads = {gl};
-            s.writes = {pooled};
         }
 
         if (cfg.task == Task::Classification) {
@@ -705,9 +652,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
             s.desc.out = kResLogits;
             s.desc.rows = 1;
             s.desc.cols = numClasses;
-            s.reads = {pooled};
-            s.writes = {kResLogits};
-            s.root = true;
         } else {
             // Broadcast the pooled vector back onto every point
             // (ConcatCols broadcasts 1-row sources).
@@ -719,8 +663,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                 s.desc.out = xh;
                 s.desc.rows = rows;
                 s.desc.cols = concatDim + g;
-                s.reads = {cat, pooled};
-                s.writes = {xh};
             }
             eng.logitsRows_ = rows;
             eng.logitsCols_ = numClasses;
@@ -731,9 +673,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
             s.desc.out = kResLogits;
             s.desc.rows = rows;
             s.desc.cols = numClasses;
-            s.reads = {xh};
-            s.writes = {kResLogits};
-            s.root = true;
         }
     } else if (wantInterp) {
         // Interpolation decoder, emitted as per-level structured steps
@@ -778,8 +717,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                 s.desc.srcRows = nCoarse;
                 s.desc.k = kk;
                 s.desc.backend = static_cast<int32_t>(bk);
-                s.reads = {cur, coarseCoords, fine.coords};
-                s.writes = {interpBuf};
             }
 
             int32_t catBuf = b.make(fine.n, curDim + fine.m);
@@ -791,8 +728,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                 s.desc.out = catBuf;
                 s.desc.rows = fine.n;
                 s.desc.cols = curDim + fine.m;
-                s.reads = {interpBuf, fine.feat};
-                s.writes = {catBuf};
             }
 
             int32_t outDim = icfg.outDim();
@@ -806,8 +741,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                 s.desc.out = outBuf;
                 s.desc.rows = fine.n;
                 s.desc.cols = outDim;
-                s.reads = {catBuf};
-                s.writes = {outBuf};
             }
 
             cur = outBuf;
@@ -824,9 +757,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
         s.desc.out = kResLogits;
         s.desc.rows = curN;
         s.desc.cols = numClasses;
-        s.reads = {cur};
-        s.writes = {kResLogits};
-        s.root = true;
     } else if (!detection) {
         eng.logitsRows_ = level.n;
         eng.logitsCols_ = numClasses;
@@ -837,9 +767,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
         s.desc.out = kResLogits;
         s.desc.rows = level.n;
         s.desc.cols = numClasses;
-        s.reads = {level.feat};
-        s.writes = {kResLogits};
-        s.root = true;
     }
 
     // --- Detection stage 2: global branches over the raw input. ------
@@ -863,8 +790,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                 s.desc.out = tmp;
                 s.desc.rows = n0;
                 s.desc.cols = w;
-                s.reads = {inBuf};
-                s.writes = {tmp};
             }
             {
                 StepIR &s =
@@ -876,8 +801,6 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                 s.desc.cols = w;
                 s.desc.srcRows = n0;
                 s.desc.outCol = off;
-                s.reads = {tmp, pooled}; // writes one slice of pooled
-                s.writes = {pooled};
             }
             off += w;
         }
@@ -891,11 +814,10 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
         s.desc.out = kResLogits;
         s.desc.rows = 1;
         s.desc.cols = cfg.stage2Outputs;
-        s.reads = {pooled};
-        s.writes = {kResLogits};
-        s.root = true;
     }
 
+    for (StepIR &s : b.ir.steps)
+        deriveAccess(s, b.ir.bufs);
     return std::move(b.ir);
 }
 

@@ -26,7 +26,6 @@ ExecutionContext::ExecutionContext(const CompiledEngine &engine)
             mods_[i].nitFlat.resize(static_cast<size_t>(info.io.nOut) *
                                     info.io.k);
     }
-    sampleScratch_.reserve(static_cast<size_t>(engine.numInputPoints()));
 }
 
 float *
@@ -48,7 +47,6 @@ ExecutionContext::reset()
         // execution rebuilds (and re-warms) them.
         m.cachedBackend.reset();
     }
-    sampleScratch_.clear();
     cloud_ = nullptr;
     rng_ = Rng(0);
     poisoned_ = false;

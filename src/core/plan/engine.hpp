@@ -154,8 +154,7 @@ struct ExecutionContext
     const CompiledEngine *engine_ = nullptr;
     Arena arena_;
     tensor::Tensor logits_;
-    std::vector<PlanModuleCtx> mods_;    ///< encoder modules
-    std::vector<int32_t> sampleScratch_; ///< Fisher-Yates pool
+    std::vector<PlanModuleCtx> mods_; ///< encoder modules
     const geom::PointCloud *cloud_ = nullptr;
     Rng rng_{0}; ///< reseeded per execution
     bool poisoned_ = false;
@@ -230,7 +229,8 @@ class CompiledEngine
     const std::vector<StepIR> &steps() const { return steps_; }
 
     /** Per-pass optimizer statistics, in pipeline order. Skipped
-     *  passes (pipeline disabled, numerics gate) have ran=false. */
+     *  passes (pipeline disabled, quantize_pft without calibration)
+     *  have ran=false. */
     const std::vector<PassStat> &passStats() const { return passStats_; }
 
     /** Shapes (incl. chosen leading dimensions) of all arena buffers. */

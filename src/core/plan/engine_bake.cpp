@@ -243,16 +243,6 @@ bakeOne(const OpDesc &d, const CompiledEngine &eng)
                 });
         };
       }
-      case OpKind::PackRows: {
-        int32_t in = d.in, out = d.out;
-        int64_t ldIn = ldOf(eng, in), ldOut = ldOf(eng, out);
-        int64_t rows = d.rows;
-        int32_t cols = d.cols;
-        return [=](ExecutionContext &ctx) {
-            tensor::copyRowsInto(ctx.buf(out), ldOut, ctx.buf(in), ldIn,
-                                 rows, cols);
-        };
-      }
       case OpKind::RngDraw: {
         size_t mod = static_cast<size_t>(d.mod);
         int32_t n = d.srcRows;

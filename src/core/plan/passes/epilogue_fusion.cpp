@@ -1,17 +1,9 @@
-#include <algorithm>
-
+#include "core/plan/op_schema.hpp"
 #include "core/plan/passes/pass.hpp"
 
 namespace mesorasi::core::plan {
 
 namespace {
-
-/** Whether @p b already appears in @p v. */
-bool
-contains(const std::vector<int32_t> &v, int32_t b)
-{
-    return std::find(v.begin(), v.end(), b) != v.end();
-}
 
 /**
  * Folds an adjacent epilogue step into its producer. Recognized pairs
@@ -22,12 +14,13 @@ contains(const std::vector<int32_t> &v, int32_t b)
  *   AggGatherMax(out=X)  + AggAddAuxRelu(out=X)       -> one loop
  *   BiasRelu(out=X)      + MlpForward(in=X, layer>0)  -> one step
  *
- * The merged step keeps A's descriptor and carries B's as its tail;
- * bakeStep lowers the aggregate pairs to the single per-centroid loop
- * (each output row finished cache-hot) and the block pairs to the ops
- * back to back. B ran immediately after A before the merge, so the
- * per-element operation sequence — and therefore every output bit — is
- * unchanged.
+ * The merged step keeps A's descriptor and carries B's as its tail,
+ * and its access sets are re-derived from both (op_schema.hpp folds a
+ * tail's reads and writes in after the head's). bakeStep lowers the
+ * aggregate pairs to the single per-centroid loop (each output row
+ * finished cache-hot) and the block pairs to the ops back to back. B
+ * ran immediately after A before the merge, so the per-element
+ * operation sequence — and therefore every output bit — is unchanged.
  */
 class EpilogueFusion final : public Pass
 {
@@ -41,7 +34,7 @@ class EpilogueFusion final : public Pass
         out.reserve(ir.steps.size());
         for (StepIR &s : ir.steps) {
             if (!out.empty() && fusible(out.back(), s)) {
-                fuse(out.back(), s);
+                fuse(out.back(), s, ir.bufs);
                 ++stat.fusionsApplied;
             } else {
                 out.push_back(std::move(s));
@@ -73,7 +66,7 @@ class EpilogueFusion final : public Pass
     }
 
     static void
-    fuse(StepIR &a, StepIR &b)
+    fuse(StepIR &a, StepIR &b, const std::vector<BufferShape> &bufs)
     {
         // "grp.aggregate" + "grp.aggregate.sub" -> "grp.aggregate+sub".
         std::string suffix = b.name;
@@ -82,13 +75,7 @@ class EpilogueFusion final : public Pass
             suffix = suffix.substr(dot + 1);
         a.name += "+" + suffix;
         a.tail.push_back(std::move(b.desc));
-        for (int32_t id : b.reads)
-            if (!contains(a.reads, id) && !contains(a.writes, id))
-                a.reads.push_back(id);
-        for (int32_t id : b.writes)
-            if (!contains(a.writes, id))
-                a.writes.push_back(id);
-        a.root = a.root || b.root;
+        deriveAccess(a, bufs);
         if (!a.note.empty())
             a.note += "; ";
         a.note += "fused +" + suffix;

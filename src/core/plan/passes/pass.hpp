@@ -4,17 +4,17 @@
  *
  * PlanCompiler::compile emits a PlanIR (step_ir.hpp), hands it to a
  * PassManager, then bakes the surviving steps and re-runs the
- * ArenaPlanner. Passes rewrite the IR in place and must keep each
- * step's declared read/write sets in sync with what its baked closure
- * will touch — liveness analysis and arena planning trust them.
+ * ArenaPlanner. Passes rewrite the IR in place; a pass that builds or
+ * rewrites a step re-derives its read/write sets with deriveAccess
+ * (op_schema.hpp) rather than editing them, so the sets liveness
+ * analysis and arena planning trust always match the descriptors.
  *
- * Numerics contract: a pass whose rewrites can change the bitwise value
- * of any observable output must return true from changesNumerics().
- * Such passes are skipped (recorded with ran=false) unless the caller
- * opts in via PassOptions::allowNumericsChanging or the environment
- * variable MESORASI_PLAN_NUMERICS_PASSES=1. The default pipeline is
- * entirely numerics-preserving: optimized logits are bitwise equal to
- * the unoptimized plan and to the sequential reference executor.
+ * Numerics contract: without a calibration table the pipeline is
+ * entirely numerics-preserving — optimized logits are bitwise equal to
+ * the unoptimized plan and to the sequential reference executor. The
+ * one pass that changes numerics, quantize_pft, is armed only by a
+ * non-empty PassOptions::quantCalibration (quant::compileQuantizedPft
+ * builds one); without it the pass records ran=false.
  *
  * Kill switch: MESORASI_PLAN_PASSES=0 (or PassOptions::Enable::Off)
  * disables the whole pipeline; the plan then executes exactly the
@@ -50,8 +50,7 @@ enum class PftLayout
  * keyed by PlanIR buffer id (quant::calibratePft produces one against
  * the fp32 engine — buffer ids are stable across recompiles of the
  * same executor/options because passes append buffers, never renumber
- * them). Empty -> the pass no-ops even when numerics-changing passes
- * are allowed.
+ * them). Empty -> the pass does not run.
  */
 struct PftCalibration
 {
@@ -70,9 +69,6 @@ struct PassOptions
         Off
     };
     Enable enable = Enable::Auto;
-    /** Opt-in for passes with changesNumerics() == true (also granted
-     *  by MESORASI_PLAN_NUMERICS_PASSES=1). */
-    bool allowNumericsChanging = false;
     /** Override the layout pass's cost-model decision (tests). */
     PftLayout forceLayout = PftLayout::Auto;
     /** Calibration ranges arming the quantize_pft pass. */
@@ -87,8 +83,8 @@ struct PassOptions
 struct PassStat
 {
     std::string pass;
-    /** False when the pass was skipped (e.g. a numerics-changing pass
-     *  without the explicit opt-in). */
+    /** False when the pass was skipped (pipeline disabled, or
+     *  quantize_pft without a calibration table). */
     bool ran = false;
     int32_t stepsRemoved = 0;
     int32_t fusionsApplied = 0;
@@ -99,9 +95,6 @@ struct PassStat
 /** Whether the pipeline runs under @p opts (env kill switch applied). */
 bool passesEnabled(const PassOptions &opts);
 
-/** Whether numerics-changing passes may run under @p opts. */
-bool numericsChangingAllowed(const PassOptions &opts);
-
 /** One IR rewrite. Implementations live in core/plan/passes/. */
 class Pass
 {
@@ -110,12 +103,9 @@ class Pass
 
     virtual const char *name() const = 0;
 
-    /** Must return true when the rewrite can change observable bits.
-     *  Such passes default off — see the file comment. */
-    virtual bool changesNumerics() const { return false; }
-
     /** Rewrite @p ir in place, recording what changed in @p stat
-     *  (stat.pass and stat.ran are managed by the PassManager). */
+     *  (stat.pass is managed by the PassManager; stat.ran arrives true
+     *  and a pass with nothing to do may clear it). */
     virtual void run(PlanIR &ir, const PassOptions &opts,
                      PassStat &stat) = 0;
 };
@@ -146,10 +136,8 @@ std::unique_ptr<Pass> makePftLayoutSelection();
  *  quantized copy (the f32 original dies immediately, shrinking the
  *  re-planned arena). Max commutes with the monotone symmetric
  *  quantizer, so the gather-max runs entirely in the integer domain
- *  and dequantizes once per output element. changesNumerics() == true:
- *  gated behind PassOptions::allowNumericsChanging /
- *  MESORASI_PLAN_NUMERICS_PASSES=1, and armed only by a non-empty
- *  PassOptions::quantCalibration. */
+ *  and dequantizes once per output element. Changes numerics, so it is
+ *  armed only by a non-empty PassOptions::quantCalibration. */
 std::unique_ptr<Pass> makePftQuantization();
 
 /** Symmetric quantization scale for a buffer with observed range
@@ -184,15 +172,13 @@ class PassManager
     void add(std::unique_ptr<Pass> pass);
 
     /** The shipped pipeline: DCE, epilogue fusion, PFT layout, PFT
-     *  quantization (the last is numerics-changing and so skipped
-     *  without the explicit opt-in). */
+     *  quantization (the last runs only with a calibration table). */
     static PassManager defaultPipeline();
 
     /**
      * Run the pipeline over @p ir. Returns one PassStat per registered
-     * pass, in order; skipped passes (pipeline disabled, or a
-     * numerics-changing pass without the opt-in) appear with
-     * ran=false.
+     * pass, in order; skipped passes (pipeline disabled, or a pass with
+     * nothing to do) appear with ran=false.
      */
     std::vector<PassStat> run(PlanIR &ir, const PassOptions &opts) const;
 

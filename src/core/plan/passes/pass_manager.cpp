@@ -20,15 +20,6 @@ passesEnabled(const PassOptions &opts)
     return !(env && std::strcmp(env, "0") == 0);
 }
 
-bool
-numericsChangingAllowed(const PassOptions &opts)
-{
-    if (opts.allowNumericsChanging)
-        return true;
-    const char *env = std::getenv("MESORASI_PLAN_NUMERICS_PASSES");
-    return env && std::strcmp(env, "1") == 0;
-}
-
 void
 PassManager::add(std::unique_ptr<Pass> pass)
 {
@@ -56,11 +47,10 @@ PassManager::run(PlanIR &ir, const PassOptions &opts) const
     std::vector<PassStat> stats;
     stats.reserve(passes_.size());
     bool enabled = passesEnabled(opts);
-    bool numerics = numericsChangingAllowed(opts);
     for (const auto &p : passes_) {
         PassStat stat;
         stat.pass = p->name();
-        stat.ran = enabled && (!p->changesNumerics() || numerics);
+        stat.ran = enabled;
         if (stat.ran)
             p->run(ir, opts, stat);
         stats.push_back(std::move(stat));

@@ -62,9 +62,7 @@ namespace {
  *
  * The rewrite is numerics-preserving: padding floats are never read
  * (every kernel touches exactly cols floats per row) and per-element
- * accumulation order is unchanged, so changesNumerics() stays false. A
- * layout that reordered reductions would have to return true there and
- * would default off.
+ * accumulation order is unchanged.
  *
  * Mechanics: the IR is descriptor-complete and every baked kernel
  * honors each operand's leading dimension (strides freeze from the

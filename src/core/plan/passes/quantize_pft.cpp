@@ -2,6 +2,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "core/plan/op_schema.hpp"
 #include "core/plan/passes/pass.hpp"
 
 namespace mesorasi::core::plan {
@@ -22,35 +23,36 @@ namespace {
  * Rewrites each calibrated AggGatherMax input PFT to quantized storage.
  *
  * For every buffer X in the calibration table that is (a) f32, (b)
- * written by exactly one step, and (c) only ever read as a gather-max
- * input or an aggregate-epilogue aux, the pass:
+ * written by exactly one step, and (c) only ever read through operands
+ * the op schema marks Dt::Any (a gather-max input, an aggregate-
+ * epilogue aux), the pass:
  *
  *   - appends a quantized buffer Xq (int8, or packed int4 when X has at
  *     least PassOptions::quantInt4MinRows rows) with the symmetric
  *     scale quantScaleFor(maxAbs, dtype),
  *   - inserts a QuantizeRows step X -> Xq right after X's producer,
- *   - repoints every consumer reference (AggGatherMax::in,
- *     AggSubCentroid/AggAddAuxRelu::aux, and the declared read sets)
- *     at Xq.
+ *   - repoints every one of those operands at Xq and re-derives the
+ *     touched steps' access sets.
  *
  * X's last reader is then the quantize step itself, so the re-planned
  * arena overlaps X with downstream buffers and the resident footprint
  * shrinks by Xq's 4x/8x packing. Buffers are appended, never
  * renumbered, so calibration ids recorded against the fp32 engine stay
- * valid across the recompile.
+ * valid across the recompile. Without a calibration table the pass
+ * does nothing and records ran=false.
  */
 class PftQuantization final : public Pass
 {
   public:
     const char *name() const override { return "quantize_pft"; }
 
-    bool changesNumerics() const override { return true; }
-
     void
     run(PlanIR &ir, const PassOptions &opts, PassStat &stat) override
     {
-        if (opts.quantCalibration.empty())
+        if (opts.quantCalibration.empty()) {
+            stat.ran = false;
             return;
+        }
         // Quantize steps to splice in after their producer, keyed by
         // the producer's index in the unmodified step sequence.
         std::vector<std::vector<StepIR>> insertAfter(ir.steps.size());
@@ -82,8 +84,7 @@ class PftQuantization final : public Pass
             q.desc.out = xq;
             q.desc.rows = rows;
             q.desc.cols = cols;
-            q.reads = {buf};
-            q.writes = {xq};
+            deriveAccess(q, ir.bufs);
             q.note = std::string(dtypeName(dt)) + " pft, scale " +
                      std::to_string(ir.bufs[xq].qscale);
             insertAfter[writer].push_back(std::move(q));
@@ -122,57 +123,53 @@ class PftQuantization final : public Pass
         return writer;
     }
 
-    /** Whether every read reference to @p buf is one the quantized
-     *  kernels cover: a gather-max input or an aggregate-epilogue aux.
-     *  Any other consumer (a PackRows copy, a ConcatCols source, an
-     *  MLP input, ...) expects f32 rows, so the buffer stays f32. */
+    /** Whether every read of @p buf is through an operand the schema
+     *  lets hold a quantized buffer. In-place reads of an op's own out
+     *  are skipped: such an op also writes @p buf, so it is the sole
+     *  writer and runs before the quantize step. */
     static bool
     readersQuantizable(const PlanIR &ir, int32_t buf)
     {
+        auto ok = [&](const OpDesc &d) {
+            for (const Operand &o : operandsOf(d, ir.bufs))
+                if (!o.write && o.id == buf &&
+                    o.touch->role != Role::Out &&
+                    o.touch->dtype != Dt::Any)
+                    return false;
+            return true;
+        };
         for (const StepIR &s : ir.steps) {
-            auto descOk = [&](const OpDesc &d) {
-                if (d.in == buf && d.op != OpKind::AggGatherMax)
-                    return false;
-                if (d.aux == buf && d.op != OpKind::AggSubCentroid &&
-                    d.op != OpKind::AggAddAuxRelu)
-                    return false;
-                if (d.in2 == buf)
-                    return false;
-                return std::find(d.srcs.begin(), d.srcs.end(), buf) ==
-                       d.srcs.end();
-            };
-            if (!descOk(s.desc))
+            if (!ok(s.desc))
                 return false;
             for (const OpDesc &t : s.tail)
-                if (!descOk(t))
+                if (!ok(t))
                     return false;
         }
         return true;
     }
 
-    /** Repoint every consumer reference and declared read of @p buf at
-     *  @p xq (the producer's write set is left alone — it still fills
-     *  the f32 buffer the new QuantizeRows step packs). */
+    /** Repoint every Dt::Any read of @p buf at @p xq and re-derive the
+     *  access sets of the steps that changed (the producer still
+     *  writes the f32 buffer the new QuantizeRows step packs). */
     static void
     repointReaders(PlanIR &ir, int32_t buf, int32_t xq)
     {
         for (StepIR &s : ir.steps) {
+            bool hit = false;
             auto repoint = [&](OpDesc &d) {
-                if (d.op == OpKind::AggGatherMax && d.in == buf)
-                    d.in = xq;
-                if ((d.op == OpKind::AggSubCentroid ||
-                     d.op == OpKind::AggAddAuxRelu) &&
-                    d.aux == buf)
-                    d.aux = xq;
+                for (const Touch &t : opSchema(d.op)->reads) {
+                    int32_t *f = operandField(d, t.role);
+                    if (t.dtype == Dt::Any && f && *f == buf) {
+                        *f = xq;
+                        hit = true;
+                    }
+                }
             };
-            bool wasReader =
-                std::find(s.reads.begin(), s.reads.end(), buf) !=
-                s.reads.end();
             repoint(s.desc);
             for (OpDesc &t : s.tail)
                 repoint(t);
-            if (wasReader)
-                std::replace(s.reads.begin(), s.reads.end(), buf, xq);
+            if (hit)
+                deriveAccess(s, ir.bufs);
         }
     }
 };

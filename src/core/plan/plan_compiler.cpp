@@ -21,7 +21,7 @@ PlanCompiler::compile(const NetworkExecutor &exec, PipelineKind kind,
 
     // --- Optimize: run the pass pipeline over the IR. ----------------
     {
-        ArenaPlanResult pre = planArenaFor(ir);
+        ArenaPlanResult pre = planArenaFor(ir.steps, ir.bufs);
         eng.stats_.arenaFloatsPrePass = pre.planner.totalFloats();
         eng.stats_.numStepsPrePass =
             static_cast<int32_t>(ir.steps.size());
@@ -35,7 +35,7 @@ PlanCompiler::compile(const NetworkExecutor &exec, PipelineKind kind,
     }
 
     // --- Freeze: re-plan the arena, bake closures, seal the engine. --
-    ArenaPlanResult post = planArenaFor(ir);
+    ArenaPlanResult post = planArenaFor(ir.steps, ir.bufs);
     eng.stats_.naiveFloats = post.planner.naiveFloats();
     eng.stats_.arenaFloats = post.planner.totalFloats();
     eng.stats_.numBuffers =

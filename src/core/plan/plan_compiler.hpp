@@ -52,8 +52,8 @@ struct CompileOptions
      */
     bool costModelBackendSelection = true;
 
-    /** Optimizer pipeline knobs (enable/disable, numerics opt-in,
-     *  forced PFT layout). */
+    /** Optimizer pipeline knobs (enable/disable, forced PFT layout,
+     *  the calibration that arms PFT quantization). */
     PassOptions passes;
 };
 

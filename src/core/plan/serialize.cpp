@@ -3,15 +3,19 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <variant>
 
 #include "common/check.hpp"
 #include "common/fault_injection.hpp"
+#include "core/plan/op_schema.hpp"
 
 /** Every corrupt-input rejection in this file throws the same typed
- *  code; a local alias keeps the ~50 call sites readable. */
+ *  code and message prefix; a local alias keeps the call sites
+ *  readable. */
 #define MESO_REQUIRE_ARTIFACT(cond, ...)                                  \
     MESO_REQUIRE_C(::mesorasi::StatusCode::CorruptArtifact, cond,         \
-                   __VA_ARGS__)
+                   "corrupt engine artifact: " << __VA_ARGS__)
 
 namespace mesorasi::core::plan {
 
@@ -31,36 +35,28 @@ constexpr uint32_t kMagic = 0x4F53454Du; // "MESO" little-endian
  */
 constexpr uint32_t kQuantMagic = 0x31544E51u;
 
-// OpDesc field tags. Append-only: a tag's type and meaning are frozen
-// forever; new fields get new tags.
-enum : uint8_t
-{
-    kTagEnd = 0,
-    kTagOp = 1,
-    kTagIn = 2,
-    kTagOut = 3,
-    kTagAux = 4,
-    kTagIn2 = 5,
-    kTagRows = 6,
-    kTagCols = 7,
-    kTagMod = 8,
-    kTagK = 9,
-    kTagSrcRows = 10,
-    kTagInCols = 11,
-    kTagOutCol = 12,
-    kTagMlpId = 13,
-    kTagWeightId = 14,
-    kTagBiasId = 15,
-    kTagFirstLayer = 16,
-    kTagMode = 17,
-    kTagBackend = 18,
-    kTagRadius = 19,
-    kTagRelu = 20,
-    kTagKnn = 21,
-    kTagConcat = 22,
-    kTagCustom = 23,
-    kTagSrcs = 24,
+/** One OpDesc field. Its tag is its 1-based position in kDescFields;
+ *  tag 0 ends a descriptor. */
+using DescField =
+    std::variant<OpKind OpDesc::*, int32_t OpDesc::*, int64_t OpDesc::*,
+                 float OpDesc::*, bool OpDesc::*, std::string OpDesc::*,
+                 std::vector<int32_t> OpDesc::*>;
+
+// OpDesc fields in tag order. Append-only: a tag's position, type and
+// meaning are frozen forever; new fields get new tags. A field equal to
+// its OpDesc{} default is omitted.
+const DescField kDescFields[] = {
+    &OpDesc::op,       &OpDesc::in,         &OpDesc::out,
+    &OpDesc::aux,      &OpDesc::in2,        &OpDesc::rows,
+    &OpDesc::cols,     &OpDesc::mod,        &OpDesc::k,
+    &OpDesc::srcRows,  &OpDesc::inCols,     &OpDesc::outCol,
+    &OpDesc::mlpId,    &OpDesc::weightId,   &OpDesc::biasId,
+    &OpDesc::firstLayer, &OpDesc::mode,     &OpDesc::backend,
+    &OpDesc::radius,   &OpDesc::relu,       &OpDesc::knn,
+    &OpDesc::concat,   &OpDesc::custom,     &OpDesc::srcs,
 };
+constexpr uint8_t kTagEnd = 0;
+const OpDesc kDescDefaults{};
 
 class Writer
 {
@@ -100,6 +96,15 @@ class Writer
         i32(t.cols());
         raw(t.data(), static_cast<size_t>(t.numel()) * sizeof(float));
     }
+
+    // Descriptor field encodings, one per DescField type.
+    void put(OpKind v) { i32(static_cast<int32_t>(v)); }
+    void put(int32_t v) { i32(v); }
+    void put(int64_t v) { i64(v); }
+    void put(float v) { f32(v); }
+    void put(bool v) { u8(v ? 1 : 0); }
+    void put(const std::string &v) { str(v); }
+    void put(const std::vector<int32_t> &v) { vecI32(v); }
 
     std::vector<uint8_t> take() { return std::move(bytes_); }
 
@@ -180,12 +185,10 @@ class Reader
     count(size_t elemBytes, const char *what)
     {
         uint32_t n = u32();
-        MESO_REQUIRE_ARTIFACT(static_cast<uint64_t>(n) * elemBytes <=
-                         size_ - pos_,
-                     "corrupt engine artifact: " << what << " count " << n
-                                                 << " exceeds remaining "
-                                                 << (size_ - pos_)
-                                                 << " bytes");
+        MESO_REQUIRE_ARTIFACT(
+            static_cast<uint64_t>(n) * elemBytes <= size_ - pos_,
+            what << " count " << n << " exceeds remaining " << (size_ - pos_)
+                << " bytes");
         return n;
     }
 
@@ -204,19 +207,24 @@ class Reader
         int32_t rows = i32();
         int32_t cols = i32();
         MESO_REQUIRE_ARTIFACT(rows >= 0 && cols >= 0,
-                     "corrupt engine artifact: " << what << " shape "
-                                                 << rows << "x" << cols);
+                              what << " shape " << rows << "x" << cols);
         uint64_t n = static_cast<uint64_t>(rows) * cols;
         MESO_REQUIRE_ARTIFACT(n * sizeof(float) <= size_ - pos_,
-                     "corrupt engine artifact: " << what << " data "
-                                                 << rows << "x" << cols
-                                                 << " exceeds remaining "
-                                                 << (size_ - pos_)
-                                                 << " bytes");
+                              what << " data " << rows << "x" << cols
+                                  << " exceeds remaining " << (size_ - pos_)
+                                  << " bytes");
         std::vector<float> data(n);
         raw(data.data(), n * sizeof(float), what);
         return tensor::Tensor(rows, cols, std::move(data));
     }
+
+    void get(OpKind &v) { v = static_cast<OpKind>(i32()); }
+    void get(int32_t &v) { v = i32(); }
+    void get(int64_t &v) { v = i64(); }
+    void get(float &v) { v = f32(); }
+    void get(bool &v) { v = u8() != 0; }
+    void get(std::string &v) { v = str(); }
+    void get(std::vector<int32_t> &v) { v = vecI32("descriptor list"); }
 
     bool done() const { return pos_ == size_; }
     size_t pos() const { return pos_; }
@@ -226,8 +234,8 @@ class Reader
     need(size_t n, const char *what)
     {
         MESO_REQUIRE_ARTIFACT(n <= size_ - pos_,
-                     "corrupt engine artifact: truncated reading "
-                         << what << " at byte " << pos_);
+                              "truncated reading " << what << " at byte "
+                                  << pos_);
     }
 
     void
@@ -247,55 +255,15 @@ class Reader
 void
 writeDesc(Writer &w, const OpDesc &d)
 {
-    auto tagI32 = [&](uint8_t tag, int32_t v, int32_t def) {
-        if (v != def) {
-            w.u8(tag);
-            w.i32(v);
-        }
-    };
-    auto tagBool = [&](uint8_t tag, bool v) {
-        if (v) {
-            w.u8(tag);
-            w.u8(1);
-        }
-    };
-    w.u8(kTagOp);
-    w.i32(static_cast<int32_t>(d.op));
-    tagI32(kTagIn, d.in, -1);
-    tagI32(kTagOut, d.out, -1);
-    tagI32(kTagAux, d.aux, -1);
-    tagI32(kTagIn2, d.in2, -1);
-    if (d.rows != 0) {
-        w.u8(kTagRows);
-        w.i64(d.rows);
-    }
-    tagI32(kTagCols, d.cols, 0);
-    tagI32(kTagMod, d.mod, 0);
-    tagI32(kTagK, d.k, 0);
-    tagI32(kTagSrcRows, d.srcRows, 0);
-    tagI32(kTagInCols, d.inCols, 0);
-    tagI32(kTagOutCol, d.outCol, 0);
-    tagI32(kTagMlpId, d.mlpId, -1);
-    tagI32(kTagWeightId, d.weightId, -1);
-    tagI32(kTagBiasId, d.biasId, -1);
-    tagI32(kTagFirstLayer, d.firstLayer, 0);
-    tagI32(kTagMode, d.mode, 0);
-    tagI32(kTagBackend, d.backend, 0);
-    if (d.radius != 0.0f) {
-        w.u8(kTagRadius);
-        w.f32(d.radius);
-    }
-    tagBool(kTagRelu, d.relu);
-    tagBool(kTagKnn, d.knn);
-    tagBool(kTagConcat, d.concat);
-    if (!d.custom.empty()) {
-        w.u8(kTagCustom);
-        w.str(d.custom);
-    }
-    if (!d.srcs.empty()) {
-        w.u8(kTagSrcs);
-        w.vecI32(d.srcs);
-    }
+    for (size_t i = 0; i < std::size(kDescFields); ++i)
+        std::visit(
+            [&](auto field) {
+                if (d.*field == kDescDefaults.*field)
+                    return;
+                w.u8(static_cast<uint8_t>(i + 1));
+                w.put(d.*field);
+            },
+            kDescFields[i]);
     w.u8(kTagEnd);
 }
 
@@ -303,90 +271,14 @@ OpDesc
 readDesc(Reader &r)
 {
     OpDesc d;
-    for (;;) {
-        uint8_t tag = r.u8();
-        switch (tag) {
-          case kTagEnd:
-            return d;
-          case kTagOp:
-            d.op = static_cast<OpKind>(r.i32());
-            break;
-          case kTagIn:
-            d.in = r.i32();
-            break;
-          case kTagOut:
-            d.out = r.i32();
-            break;
-          case kTagAux:
-            d.aux = r.i32();
-            break;
-          case kTagIn2:
-            d.in2 = r.i32();
-            break;
-          case kTagRows:
-            d.rows = r.i64();
-            break;
-          case kTagCols:
-            d.cols = r.i32();
-            break;
-          case kTagMod:
-            d.mod = r.i32();
-            break;
-          case kTagK:
-            d.k = r.i32();
-            break;
-          case kTagSrcRows:
-            d.srcRows = r.i32();
-            break;
-          case kTagInCols:
-            d.inCols = r.i32();
-            break;
-          case kTagOutCol:
-            d.outCol = r.i32();
-            break;
-          case kTagMlpId:
-            d.mlpId = r.i32();
-            break;
-          case kTagWeightId:
-            d.weightId = r.i32();
-            break;
-          case kTagBiasId:
-            d.biasId = r.i32();
-            break;
-          case kTagFirstLayer:
-            d.firstLayer = r.i32();
-            break;
-          case kTagMode:
-            d.mode = r.i32();
-            break;
-          case kTagBackend:
-            d.backend = r.i32();
-            break;
-          case kTagRadius:
-            d.radius = r.f32();
-            break;
-          case kTagRelu:
-            d.relu = r.u8() != 0;
-            break;
-          case kTagKnn:
-            d.knn = r.u8() != 0;
-            break;
-          case kTagConcat:
-            d.concat = r.u8() != 0;
-            break;
-          case kTagCustom:
-            d.custom = r.str();
-            break;
-          case kTagSrcs:
-            d.srcs = r.vecI32("desc srcs");
-            break;
-          default:
-            MESO_REQUIRE_ARTIFACT(false, "corrupt engine artifact: unknown "
-                                "descriptor tag "
-                                    << static_cast<int>(tag)
-                                    << " at byte " << r.pos());
-        }
+    for (uint8_t tag = r.u8(); tag != kTagEnd; tag = r.u8()) {
+        MESO_REQUIRE_ARTIFACT(tag <= std::size(kDescFields),
+                              "unknown descriptor tag " << static_cast<int>(tag)
+                                  << " at byte " << r.pos());
+        std::visit([&](auto field) { r.get(d.*field); },
+                   kDescFields[tag - 1]);
     }
+    return d;
 }
 
 void
@@ -423,21 +315,20 @@ readModuleInfo(Reader &r)
     m.io.mlpWidths = r.vecI32("module mlp widths");
     m.io.mlpInDim = r.i32();
     int32_t eff = r.i32();
-    MESO_REQUIRE_ARTIFACT(eff >= 0 &&
-                     eff <= static_cast<int32_t>(PipelineKind::LtdDelayed),
-                 "corrupt engine artifact: bad pipeline kind " << eff);
+    MESO_REQUIRE_ARTIFACT(
+        eff >= 0 && eff <= static_cast<int32_t>(PipelineKind::LtdDelayed),
+        "bad pipeline kind " << eff);
     m.effective = static_cast<PipelineKind>(eff);
     m.global = r.u8() != 0;
     int32_t b = r.i32();
-    MESO_REQUIRE_ARTIFACT(b >= 0 &&
-                     b <= static_cast<int32_t>(neighbor::Backend::KdTree),
-                 "corrupt engine artifact: bad backend " << b);
+    MESO_REQUIRE_ARTIFACT(
+        b >= 0 && b <= static_cast<int32_t>(neighbor::Backend::KdTree),
+        "bad backend " << b);
     m.backend = static_cast<neighbor::Backend>(b);
     m.customBackend = r.str();
     MESO_REQUIRE_ARTIFACT(m.io.nIn >= 0 && m.io.nOut >= 0 && m.io.k >= 0 &&
-                     m.io.mIn >= 0 && m.io.mOut >= 0,
-                 "corrupt engine artifact: negative module shape in '"
-                     << m.name << "'");
+                              m.io.mIn >= 0 && m.io.mOut >= 0,
+                          "negative module shape in '" << m.name << "'");
     return m;
 }
 
@@ -497,9 +388,10 @@ class EngineSerializer
             w.u32(static_cast<uint32_t>(s.tail.size()));
             for (const OpDesc &t : s.tail)
                 writeDesc(w, t);
-            w.vecI32(s.reads);
-            w.vecI32(s.writes);
-            w.u8(s.root ? 1 : 0);
+            StepAccess a = stepAccess(s.desc, s.tail, e.bufferShapes_);
+            w.vecI32(a.reads);
+            w.vecI32(a.writes);
+            w.u8(a.root ? 1 : 0);
             w.str(s.note);
         }
 
@@ -589,29 +481,26 @@ class EngineSerializer
         Reader r(data, size);
         uint32_t magic = r.u32();
         MESO_REQUIRE_ARTIFACT(magic == kMagic,
-                     "corrupt engine artifact: bad magic 0x" << std::hex
-                                                             << magic);
+                              "bad magic 0x" << std::hex << magic);
         uint32_t version = r.u32();
         MESO_REQUIRE_ARTIFACT(version == kEngineFormatVersion,
-                     "engine artifact format v"
-                         << version << " is not supported (this build "
-                         << "reads v" << kEngineFormatVersion
-                         << "); recompile the engine");
+                              "format v" << version
+                                  << " is not supported (this build reads v"
+                                  << kEngineFormatVersion
+                                  << "); recompile the engine");
 
         CompiledEngine e;
         int32_t kind = r.i32();
-        MESO_REQUIRE_ARTIFACT(kind >= 0 &&
-                         kind <= static_cast<int32_t>(
-                                     PipelineKind::LtdDelayed),
-                     "corrupt engine artifact: bad pipeline kind "
-                         << kind);
+        MESO_REQUIRE_ARTIFACT(
+            kind >= 0 && kind <= static_cast<int32_t>(PipelineKind::LtdDelayed),
+            "bad pipeline kind " << kind);
         e.kind_ = static_cast<PipelineKind>(kind);
         e.numInputPoints_ = r.i32();
         e.logitsRows_ = r.i32();
         e.logitsCols_ = r.i32();
         MESO_REQUIRE_ARTIFACT(e.numInputPoints_ > 0 && e.logitsRows_ >= 0 &&
-                         e.logitsCols_ >= 0,
-                     "corrupt engine artifact: bad engine dims");
+                                  e.logitsCols_ >= 0,
+                              "bad engine dims");
 
         uint32_t nMods = r.count(8, "modules");
         for (uint32_t i = 0; i < nMods; ++i)
@@ -630,35 +519,34 @@ class EngineSerializer
             // (rows * ld in floats(), rows * k in validate) far from
             // int64 overflow on fuzzed bytes; real engines are bounded
             // by the 2^32-float arena anyway.
-            MESO_REQUIRE_ARTIFACT(b.rows >= 0 && b.cols >= 0 &&
-                             b.ld >= b.cols &&
-                             b.rows <= (int64_t{1} << 31),
-                         "corrupt engine artifact: bad shape for buffer "
-                             << i);
+            MESO_REQUIRE_ARTIFACT(
+                b.rows >= 0 && b.cols >= 0 && b.ld >= b.cols &&
+                    b.rows <= (int64_t{1} << 31),
+                "bad shape for buffer " << i);
             e.bufferShapes_.push_back(b);
         }
         uint32_t nOffs = r.count(8, "offsets");
         for (uint32_t i = 0; i < nOffs; ++i)
             e.offsets_.push_back(r.i64());
 
+        // Stored access sets, checked against the derived ones once the
+        // whole artifact is decoded.
+        std::vector<StepAccess> stored;
         uint32_t nSteps = r.count(1, "steps");
         for (uint32_t i = 0; i < nSteps; ++i) {
             StepIR s;
             int32_t sk = r.i32();
-            MESO_REQUIRE_ARTIFACT(sk >= 0 &&
-                             sk <= static_cast<int32_t>(
-                                       StageKind::Epilogue),
-                         "corrupt engine artifact: bad stage kind "
-                             << sk);
+            MESO_REQUIRE_ARTIFACT(
+                sk >= 0 && sk <= static_cast<int32_t>(StageKind::Epilogue),
+                "bad stage kind " << sk);
             s.kind = static_cast<StageKind>(sk);
             s.name = r.str();
             s.desc = readDesc(r);
             uint32_t nTail = r.count(1, "step tail");
             for (uint32_t t = 0; t < nTail; ++t)
                 s.tail.push_back(readDesc(r));
-            s.reads = r.vecI32("step reads");
-            s.writes = r.vecI32("step writes");
-            s.root = r.u8() != 0;
+            stored.push_back({r.vecI32("step reads"),
+                              r.vecI32("step writes"), r.u8() != 0});
             s.note = r.str();
             e.steps_.push_back(std::move(s));
         }
@@ -680,22 +568,20 @@ class EngineSerializer
             uint32_t nLayers = r.count(1, "mlp layers");
             for (uint32_t l = 0; l < nLayers; ++l) {
                 int32_t act = r.i32();
-                MESO_REQUIRE_ARTIFACT(act >= 0 &&
-                                 act <= static_cast<int32_t>(
-                                            nn::Activation::Relu),
-                             "corrupt engine artifact: bad activation "
-                                 << act);
+                MESO_REQUIRE_ARTIFACT(
+                    act >= 0 &&
+                        act <= static_cast<int32_t>(nn::Activation::Relu),
+                    "bad activation " << act);
                 bool hasBias = r.u8() != 0;
                 tensor::Tensor weight = r.tensor("layer weight");
                 tensor::Tensor bias;
                 if (hasBias) {
                     bias = r.tensor("layer bias");
                     MESO_REQUIRE_ARTIFACT(bias.rows() == 1 &&
-                                     bias.cols() == weight.cols(),
-                                 "corrupt engine artifact: bias shape "
-                                     << bias.shapeStr()
-                                     << " for weight "
-                                     << weight.shapeStr());
+                                              bias.cols() == weight.cols(),
+                                          "bias shape " << bias.shapeStr()
+                                              << " for weight "
+                                              << weight.shapeStr());
                 }
                 mlp.addLayer(nn::Linear(
                     std::move(weight), std::move(bias),
@@ -722,9 +608,8 @@ class EngineSerializer
         if (!r.done()) {
             uint32_t qmagic = r.u32();
             MESO_REQUIRE_ARTIFACT(qmagic == kQuantMagic,
-                         "corrupt engine artifact: bad quant section "
-                         "magic 0x"
-                             << std::hex << qmagic);
+                                  "bad quant section magic 0x" << std::hex
+                                      << qmagic);
             uint32_t nQuant = r.count(16, "quant entries");
             for (uint32_t i = 0; i < nQuant; ++i) {
                 uint32_t id = r.u32();
@@ -732,31 +617,30 @@ class EngineSerializer
                 float scale = r.f32();
                 int32_t zero = r.i32();
                 MESO_REQUIRE_ARTIFACT(id < e.bufferShapes_.size(),
-                             "corrupt engine artifact: quant entry for "
-                             "buffer "
-                                 << id << " of "
-                                 << e.bufferShapes_.size());
+                                      "quant entry for buffer " << id << " of "
+                                          << e.bufferShapes_.size());
                 MESO_REQUIRE_ARTIFACT(
                     dt == static_cast<int32_t>(DType::I8) ||
                         dt == static_cast<int32_t>(DType::I4),
-                    "corrupt engine artifact: quant dtype " << dt);
+                    "quant dtype " << dt);
                 MESO_REQUIRE_ARTIFACT(std::isfinite(scale) && scale > 0.0f,
-                             "corrupt engine artifact: quant scale "
-                                 << scale << " for buffer " << id);
+                                      "quant scale " << scale << " for buffer "
+                                          << id);
                 MESO_REQUIRE_ARTIFACT(zero == 0,
-                             "corrupt engine artifact: non-symmetric "
-                             "zero point "
-                                 << zero << " is not supported");
+                                      "non-symmetric zero point " << zero
+                                          << " is not supported");
                 BufferShape &b = e.bufferShapes_[id];
+                MESO_REQUIRE_ARTIFACT(
+                    dt != static_cast<int32_t>(DType::I4) || b.ld % 2 == 0,
+                    "int4 buffer " << id << " has odd ld " << b.ld);
                 b.dtype = static_cast<DType>(dt);
                 b.qscale = scale;
                 b.qzero = zero;
             }
             uint32_t nQp = r.count(4, "quant pass stats");
             MESO_REQUIRE_ARTIFACT(nQp == e.passStats_.size(),
-                         "corrupt engine artifact: "
-                             << nQp << " quant pass stats for "
-                             << e.passStats_.size() << " passes");
+                                  nQp << " quant pass stats for "
+                                      << e.passStats_.size() << " passes");
             for (uint32_t i = 0; i < nQp; ++i)
                 e.passStats_[i].buffersQuantized = r.i32();
         }
@@ -764,320 +648,249 @@ class EngineSerializer
             if (b.dtype != DType::F32)
                 ++e.stats_.buffersQuantized;
 
-        MESO_REQUIRE_ARTIFACT(r.done(),
-                     "corrupt engine artifact: " << (size - r.pos())
-                                                 << " trailing bytes");
-        validate(e);
+        MESO_REQUIRE_ARTIFACT(r.done(), (size - r.pos()) << " trailing bytes");
+        validate(e, stored);
         e.bake();
         return e;
     }
 
   private:
-    /** Structural validation of a decoded engine: everything bake() and
-     *  context construction dereference must be in range. Runs before
-     *  bake so corrupt artifacts fail with UsageError, not UB. */
+    /**
+     * Validation of a decoded engine, driven by the op schema
+     * (op_schema.hpp): every operand id, every touched extent against
+     * the buffer, table or module state it lands in, the dtype rule, and
+     * the @p stored access sets against the derived ones; then the arena
+     * plan is re-derived and must reproduce the stored offsets and size.
+     * Runs before bake, so an artifact that loads executes without UB:
+     * corrupt input fails here with CorruptArtifact, or at execute with
+     * a typed error from a kernel's own check.
+     */
     static void
-    validate(const CompiledEngine &e)
+    validate(CompiledEngine &e, const std::vector<StepAccess> &stored)
     {
-        int32_t nBufs = static_cast<int32_t>(e.bufferShapes_.size());
-        MESO_REQUIRE_ARTIFACT(e.offsets_.size() == e.bufferShapes_.size(),
-                     "corrupt engine artifact: " << e.offsets_.size()
-                                                 << " offsets for "
-                                                 << nBufs << " buffers");
+        const std::vector<BufferShape> &bufs = e.bufferShapes_;
+        MESO_REQUIRE_ARTIFACT(e.offsets_.size() == bufs.size(),
+                              e.offsets_.size() << " offsets for "
+                                  << bufs.size() << " buffers");
         MESO_REQUIRE_ARTIFACT(e.stats_.arenaFloats >= 0 &&
-                         e.stats_.arenaFloats <=
-                             (int64_t{1} << 32),
-                     "corrupt engine artifact: arena size "
-                         << e.stats_.arenaFloats);
-
-        auto needBuf = [&](int32_t id, const char *what,
-                           const std::string &step) {
-            MESO_REQUIRE_ARTIFACT(id >= 0 && id < nBufs,
-                         "corrupt engine artifact: step '"
-                             << step << "' " << what << " buffer " << id
-                             << " out of range (" << nBufs
-                             << " buffers)");
-            const BufferShape &b =
-                e.bufferShapes_[static_cast<size_t>(id)];
-            int64_t off = e.offsets_[static_cast<size_t>(id)];
-            // Compare without forming off + floats(): either addend
-            // may be huge on corrupt input and the sum could overflow.
-            MESO_REQUIRE_ARTIFACT(off >= 0 &&
-                             off <= e.stats_.arenaFloats &&
-                             b.floats() <= e.stats_.arenaFloats - off,
-                         "corrupt engine artifact: buffer "
-                             << id << " extent [" << off << ", +"
-                             << b.floats()
-                             << ") outside arena of "
-                             << e.stats_.arenaFloats << " floats");
-        };
-        int32_t nModules = static_cast<int32_t>(e.modules_.size());
-        auto needMod = [&](int32_t mod, const std::string &step) {
-            MESO_REQUIRE_ARTIFACT(mod >= 0 && mod < nModules,
-                         "corrupt engine artifact: step '"
-                             << step << "' module " << mod
-                             << " out of range (" << nModules
-                             << " modules)");
-        };
-        // Capacity of per-module runtime state as the context allocates
-        // it (see ExecutionContext's constructor).
-        auto centCap = [&](int32_t mod) -> int64_t {
-            const PlanModuleInfo &m =
-                e.modules_[static_cast<size_t>(mod)];
-            return m.global ? 1 : m.io.nOut;
-        };
-        auto nitCap = [&](int32_t mod) -> int64_t {
-            const PlanModuleInfo &m =
-                e.modules_[static_cast<size_t>(mod)];
-            return m.global ? 0
-                            : static_cast<int64_t>(m.io.nOut) * m.io.k;
-        };
-
-        auto checkDesc = [&](const OpDesc &d, const std::string &step) {
+                                  e.stats_.arenaFloats <= (int64_t{1} << 32),
+                              "arena size " << e.stats_.arenaFloats);
+        bool logitsWritten = false;
+        for (size_t i = 0; i < e.steps_.size(); ++i) {
+            StepIR &s = e.steps_[i];
+            checkDesc(e, s.desc, s.name);
+            for (const OpDesc &t : s.tail)
+                checkDesc(e, t, s.name);
+            deriveAccess(s, bufs);
             MESO_REQUIRE_ARTIFACT(
-                d.op > OpKind::Generic && d.op <= OpKind::QuantizeRows,
-                "corrupt engine artifact: step '"
-                    << step << "' op "
-                    << static_cast<int32_t>(d.op)
-                    << " is not a valid kind");
-            MESO_REQUIRE_ARTIFACT(d.rows >= 0 && d.cols >= 0 && d.k >= 0 &&
-                             d.srcRows >= 0 && d.outCol >= 0 &&
-                             d.rows <= (int64_t{1} << 31) &&
-                             d.srcRows <= (int64_t{1} << 31),
-                         "corrupt engine artifact: step '"
-                             << step << "' bad extent");
-            switch (d.op) {
-              case OpKind::MlpForward: {
-                needBuf(d.in, "in", step);
-                if (d.out != kResLogits)
-                    needBuf(d.out, "out", step);
-                MESO_REQUIRE_ARTIFACT(
-                    d.mlpId >= 0 &&
-                        d.mlpId <
-                            static_cast<int32_t>(e.mlps_.size()),
-                    "corrupt engine artifact: step '"
-                        << step << "' mlp id " << d.mlpId);
-                const nn::Mlp &m =
-                    e.mlps_[static_cast<size_t>(d.mlpId)];
-                MESO_REQUIRE_ARTIFACT(d.firstLayer >= 0 &&
-                                 d.firstLayer <=
-                                     static_cast<int32_t>(
-                                         m.numLayers()),
-                             "corrupt engine artifact: step '"
-                                 << step << "' first layer "
-                                 << d.firstLayer << " of "
-                                 << m.numLayers());
-                break;
-              }
-              case OpKind::Matmul:
-                needBuf(d.in, "in", step);
-                needBuf(d.out, "out", step);
-                MESO_REQUIRE_ARTIFACT(
-                    d.weightId >= 0 &&
-                        d.weightId <
-                            static_cast<int32_t>(e.weights_.size()),
-                    "corrupt engine artifact: step '"
-                        << step << "' weight id " << d.weightId);
-                break;
-              case OpKind::BiasRelu:
-                needBuf(d.out, "out", step);
-                if (d.biasId >= 0) {
-                    MESO_REQUIRE_ARTIFACT(
-                        d.biasId <
-                            static_cast<int32_t>(e.weights_.size()),
-                        "corrupt engine artifact: step '"
-                            << step << "' bias id " << d.biasId);
-                    MESO_REQUIRE_ARTIFACT(
-                        e.weights_[static_cast<size_t>(d.biasId)]
-                                .numel() >= d.cols,
-                        "corrupt engine artifact: step '"
-                            << step << "' bias shorter than " << d.cols
-                            << " columns");
-                }
-                break;
-              case OpKind::AggGatherMax:
-                needBuf(d.in, "in", step);
-                needBuf(d.out, "out", step);
-                needMod(d.mod, step);
-                MESO_REQUIRE_ARTIFACT(d.rows <= centCap(d.mod) &&
-                                 d.rows * d.k <= nitCap(d.mod),
-                             "corrupt engine artifact: step '"
-                                 << step
-                                 << "' gather exceeds module NIT");
-                break;
-              case OpKind::AggSubCentroid:
-              case OpKind::AggAddAuxRelu:
-                needBuf(d.out, "out", step);
-                needBuf(d.aux, "aux", step);
-                needMod(d.mod, step);
-                MESO_REQUIRE_ARTIFACT(d.rows <= centCap(d.mod),
-                             "corrupt engine artifact: step '"
-                                 << step
-                                 << "' rows exceed centroid list");
-                break;
-              case OpKind::PackRows:
-                needBuf(d.in, "in", step);
-                needBuf(d.out, "out", step);
-                break;
-              case OpKind::RngDraw:
-                needMod(d.mod, step);
-                MESO_REQUIRE_ARTIFACT(d.rows <= d.srcRows,
-                             "corrupt engine artifact: step '"
-                                 << step << "' draws " << d.rows
-                                 << " of " << d.srcRows);
-                break;
-              case OpKind::MaterializeCloud:
-                needBuf(d.out, "out", step);
-                break;
-              case OpKind::ResolveSample:
-                needMod(d.mod, step);
-                MESO_REQUIRE_ARTIFACT(
-                    d.mode >= 0 &&
-                        d.mode <=
-                            static_cast<int32_t>(SampleMode::Fps),
-                    "corrupt engine artifact: step '"
-                        << step << "' sample mode " << d.mode);
-                if (static_cast<SampleMode>(d.mode) == SampleMode::Fps)
-                    needBuf(d.in, "in", step);
-                break;
-              case OpKind::SearchNit:
-                needBuf(d.in, "in", step);
-                needMod(d.mod, step);
-                MESO_REQUIRE_ARTIFACT(d.k > 0 && d.inCols > 0 &&
-                                 d.rows <= centCap(d.mod) &&
-                                 d.rows * d.k <= nitCap(d.mod),
-                             "corrupt engine artifact: step '"
-                                 << step
-                                 << "' search exceeds module NIT");
-                MESO_REQUIRE_ARTIFACT(
-                    d.backend >= 0 &&
-                        d.backend <= static_cast<int32_t>(
-                                         neighbor::Backend::KdTree),
-                    "corrupt engine artifact: step '"
-                        << step << "' backend " << d.backend);
-                break;
-              case OpKind::GroupDiff:
-                needBuf(d.in, "in", step);
-                needBuf(d.out, "out", step);
-                needMod(d.mod, step);
-                MESO_REQUIRE_ARTIFACT(d.rows <= centCap(d.mod) &&
-                                 d.rows * d.k <= nitCap(d.mod),
-                             "corrupt engine artifact: step '"
-                                 << step
-                                 << "' group exceeds module NIT");
-                break;
-              case OpKind::ReduceMaxRows:
-                needBuf(d.in, "in", step);
-                needBuf(d.out, "out", step);
-                MESO_REQUIRE_ARTIFACT(d.k > 0,
-                             "corrupt engine artifact: step '"
-                                 << step << "' zero group size");
-                break;
-              case OpKind::ReduceMaxAll:
-                needBuf(d.in, "in", step);
-                needBuf(d.out, "out", step);
-                MESO_REQUIRE_ARTIFACT(d.srcRows > 0,
-                             "corrupt engine artifact: step '"
-                                 << step << "' empty reduction");
-                break;
-              case OpKind::GatherRows:
-                needBuf(d.in, "in", step);
-                needBuf(d.out, "out", step);
-                needMod(d.mod, step);
-                MESO_REQUIRE_ARTIFACT(d.rows <= centCap(d.mod),
-                             "corrupt engine artifact: step '"
-                                 << step
-                                 << "' rows exceed centroid list");
-                break;
-              case OpKind::FillZero:
-                needBuf(d.out, "out", step);
-                break;
-              case OpKind::ConcatCols:
-                needBuf(d.out, "out", step);
-                for (int32_t id : d.srcs)
-                    needBuf(id, "src", step);
-                break;
-              case OpKind::Interp3NN:
-                needBuf(d.in, "in", step);
-                needBuf(d.aux, "aux", step);
-                needBuf(d.in2, "in2", step);
-                needBuf(d.out, "out", step);
-                MESO_REQUIRE_ARTIFACT(d.k > 0 && d.srcRows > 0,
-                             "corrupt engine artifact: step '"
-                                 << step << "' empty interpolation");
-                MESO_REQUIRE_ARTIFACT(
-                    d.backend >= 0 &&
-                        d.backend <= static_cast<int32_t>(
-                                         neighbor::Backend::KdTree),
-                    "corrupt engine artifact: step '"
-                        << step << "' backend " << d.backend);
-                break;
-              case OpKind::QuantizeRows: {
-                needBuf(d.in, "in", step);
-                needBuf(d.out, "out", step);
-                const BufferShape &bi =
-                    e.bufferShapes_[static_cast<size_t>(d.in)];
-                const BufferShape &bo =
-                    e.bufferShapes_[static_cast<size_t>(d.out)];
-                MESO_REQUIRE_ARTIFACT(bi.dtype == DType::F32,
-                             "corrupt engine artifact: step '"
-                                 << step
-                                 << "' quantizes a non-f32 buffer");
-                MESO_REQUIRE_ARTIFACT((bo.dtype == DType::I8 ||
-                              bo.dtype == DType::I4) &&
-                                 std::isfinite(bo.qscale) &&
-                                 bo.qscale > 0.0f,
-                             "corrupt engine artifact: step '"
-                                 << step
-                                 << "' output is not a quantized "
-                                    "buffer with a positive scale");
-                MESO_REQUIRE_ARTIFACT(bo.dtype != DType::I4 || bo.ld % 2 == 0,
-                             "corrupt engine artifact: step '"
-                                 << step << "' int4 output ld "
-                                 << bo.ld << " is odd");
-                break;
-              }
-              case OpKind::Generic:
-                break;
-            }
-        };
-        // Quantized buffers are legal only where bake dispatches on the
-        // dtype: a QuantizeRows output, a gather-max input, or an
-        // aggregate-epilogue aux. Any other operand reference would
-        // reinterpret packed integers as floats.
-        auto noQuant = [&](int32_t id, const char *what,
-                          const std::string &step) {
-            if (id < 0 || id >= nBufs)
-                return;
-            MESO_REQUIRE_ARTIFACT(
-                e.bufferShapes_[static_cast<size_t>(id)].dtype ==
-                    DType::F32,
-                "corrupt engine artifact: step '"
-                    << step << "' " << what
-                    << " references quantized buffer " << id
-                    << " outside the quantized kernel set");
-        };
-        auto checkQuantRoles = [&](const OpDesc &d,
-                                   const std::string &step) {
-            if (d.op != OpKind::AggGatherMax)
-                noQuant(d.in, "in", step);
-            if (d.op != OpKind::AggSubCentroid &&
-                d.op != OpKind::AggAddAuxRelu)
-                noQuant(d.aux, "aux", step);
-            if (d.op != OpKind::QuantizeRows)
-                noQuant(d.out, "out", step);
-            noQuant(d.in2, "in2", step);
-            for (int32_t id : d.srcs)
-                noQuant(id, "src", step);
-        };
-        for (const StepIR &s : e.steps_) {
-            checkDesc(s.desc, s.name);
-            checkQuantRoles(s.desc, s.name);
-            for (const OpDesc &t : s.tail) {
-                checkDesc(t, s.name);
-                checkQuantRoles(t, s.name);
-            }
+                s.reads == stored[i].reads && s.writes == stored[i].writes &&
+                    s.root == stored[i].root,
+                "step '" << s.name
+                    << "' stored read/write sets differ from its descriptors");
+            logitsWritten = logitsWritten || s.root;
         }
+        // The logits tensor is sized by the step that writes it.
+        MESO_REQUIRE_ARTIFACT(logitsWritten, "no step writes the logits");
+
+        ArenaPlanResult plan = planArenaFor(e.steps_, bufs);
+        MESO_REQUIRE_ARTIFACT(
+            plan.planner.totalFloats() == e.stats_.arenaFloats,
+            "arena of " << e.stats_.arenaFloats << " floats, the steps plan "
+                << plan.planner.totalFloats());
+        for (size_t b = 0; b < bufs.size(); ++b) {
+            int64_t want = plan.planId[b] < 0
+                               ? 0
+                               : plan.planner.offset(plan.planId[b]);
+            MESO_REQUIRE_ARTIFACT(e.offsets_[b] == want,
+                                  "buffer " << b << " at offset "
+                                      << e.offsets_[b] << ", planned at "
+                                      << want);
+        }
+    }
+
+    /** Check one descriptor against its schema row. */
+    static void
+    checkDesc(const CompiledEngine &e, const OpDesc &d,
+              const std::string &step)
+    {
+        static const char *const kRoleNames[] = {
+            "in", "out", "aux", "in2", "src",
+            "cent", "nit", "rng", "cloud", "bias"};
+        const OpSchema *schema = opSchema(d.op);
+        MESO_REQUIRE_ARTIFACT(schema,
+                              "step '" << step << "' op "
+                                  << static_cast<int32_t>(d.op)
+                                  << " is not a valid kind");
+        // mod <= the module count keeps virtual ids from overflowing;
+        // each use of a module looks it up through table().
+        MESO_REQUIRE_ARTIFACT(
+            d.rows >= 0 && d.rows <= (int64_t{1} << 31) && d.cols >= 0 &&
+                d.k >= 0 && d.srcRows >= 0 && d.inCols >= 0 && d.outCol >= 0 &&
+                d.mod >= 0 &&
+                d.mod <= static_cast<int32_t>(e.modules_.size()) &&
+                d.mode >= 0 &&
+                d.mode <= static_cast<int32_t>(SampleMode::Fps) &&
+                d.backend >= 0 &&
+                d.backend <= static_cast<int32_t>(neighbor::Backend::KdTree) &&
+                (!schema->kFromSrc || d.k <= d.srcRows),
+            "step '" << step << "' bad immediates");
+
+        const std::vector<BufferShape> &bufs = e.bufferShapes_;
+        for (const Operand &o : operandsOf(d, bufs)) {
+            const Touch &t = *o.touch;
+            if (t.role == Role::Rng)
+                continue;
+            // What the operand lands in: rows x cols, filled exactly
+            // (a module's centroid list and NIT by their writers, the
+            // logits by the head) or at most.
+            int64_t capRows = 0, capCols = 0;
+            bool exact = false;
+            if (t.role == Role::Cent || t.role == Role::Nit) {
+                const PlanModuleInfo &m =
+                    table(e.modules_, d.mod, "module", step);
+                int64_t cent = m.global ? 1 : m.io.nOut;
+                int64_t nit = m.global
+                                  ? 0
+                                  : static_cast<int64_t>(m.io.nOut) * m.io.k;
+                capRows = t.role == Role::Cent ? cent : nit;
+                capCols = m.io.nIn; // ids index the module's input rows
+                exact = o.write;
+            } else if (t.role == Role::Cloud) {
+                capRows = e.numInputPoints_;
+                capCols = 3;
+            } else if (t.role == Role::Bias) {
+                const tensor::Tensor &w = table(e.weights_, d.biasId,
+                                                "bias", step);
+                capRows = w.rows();
+                capCols = w.cols();
+            } else if (o.id == kResLogits && schema->logitsOut &&
+                       t.role == Role::Out) {
+                capRows = e.logitsRows_;
+                capCols = e.logitsCols_;
+                exact = true;
+            } else {
+                MESO_REQUIRE_ARTIFACT(
+                    o.id >= 0 && o.id < static_cast<int32_t>(bufs.size()),
+                    "step '" << step << "' " << kRoleNames[int(t.role)]
+                        << " buffer " << o.id << " out of range ("
+                        << bufs.size() << " buffers)");
+                const BufferShape &b = bufs[static_cast<size_t>(o.id)];
+                MESO_REQUIRE_ARTIFACT(b.floats() <= e.stats_.arenaFloats,
+                                      "buffer " << o.id << " of " << b.floats()
+                                          << " floats exceeds the arena");
+                bool quant = b.dtype != DType::F32;
+                MESO_REQUIRE_ARTIFACT(
+                    t.dtype == Dt::Any || quant == (t.dtype == Dt::Quant),
+                    "step '" << step << "' " << kRoleNames[int(t.role)]
+                        << " buffer " << o.id << " is " << dtypeName(b.dtype)
+                        << ", outside the op's dtype rule");
+                capRows = b.rows;
+                capCols = b.cols;
+            }
+            int64_t rows = rowExtent(e, d, t, o.id, step);
+            int64_t cols = colExtent(e, d, t, o.id, step);
+            bool fits = exact ? rows == capRows && cols == capCols
+                              : rows <= capRows && cols <= capCols;
+            MESO_REQUIRE_ARTIFACT(fits, "step '" << step << "' touches "
+                                                 << rows << "x" << cols
+                                                 << " of its "
+                                                 << kRoleNames[int(t.role)]
+                                                 << " (" << capRows << "x"
+                                                 << capCols << ")");
+        }
+    }
+
+    /** Entry @p id of an engine table, or CorruptArtifact. */
+    template <class T>
+    static const T &
+    table(const std::vector<T> &v, int32_t id, const char *what,
+          const std::string &step)
+    {
+        MESO_REQUIRE_ARTIFACT(id >= 0 && id < static_cast<int32_t>(v.size()),
+                              "step '" << step << "' " << what << " id " << id
+                                  << " of " << v.size());
+        return v[static_cast<size_t>(id)];
+    }
+
+    static int64_t
+    rowExtent(const CompiledEngine &e, const OpDesc &d, const Touch &t,
+              int32_t id, const std::string &step)
+    {
+        switch (t.rows) {
+          case RowExt::None:
+            return 0;
+          case RowExt::Rows:
+            return d.rows;
+          case RowExt::RowsK:
+            return d.rows * d.k;
+          case RowExt::SrcRows:
+            return d.srcRows;
+          case RowExt::ModIn:
+            return table(e.modules_, d.mod, "module", step).io.nIn;
+          case RowExt::One:
+            return 1;
+          case RowExt::Sample:
+            if (d.mode == static_cast<int32_t>(SampleMode::Global))
+                return 1;
+            return d.mode == static_cast<int32_t>(SampleMode::All)
+                       ? d.srcRows
+                       : d.rows;
+          case RowExt::Bcast:
+            return e.bufferShapes_[static_cast<size_t>(id)].rows == 1 &&
+                           d.rows > 1
+                       ? 1
+                       : d.rows;
+        }
+        return 0;
+    }
+
+    static int64_t
+    colExtent(const CompiledEngine &e, const OpDesc &d, const Touch &t,
+              int32_t id, const std::string &step)
+    {
+        auto mlp = [&]() -> const nn::Mlp & {
+            const nn::Mlp &m = table(e.mlps_, d.mlpId, "mlp", step);
+            MESO_REQUIRE_ARTIFACT(
+                d.firstLayer >= 0 &&
+                    d.firstLayer < static_cast<int32_t>(m.numLayers()),
+                "step '" << step << "' first layer " << d.firstLayer << " of "
+                    << m.numLayers());
+            return m;
+        };
+        const std::vector<BufferShape> &bufs = e.bufferShapes_;
+        switch (t.cols) {
+          case ColExt::None:
+            return 0;
+          case ColExt::Cols:
+            return d.cols;
+          case ColExt::InCols:
+            return d.inCols;
+          case ColExt::GroupCols:
+            return (d.concat ? 2 : 1) * int64_t{d.inCols};
+          case ColExt::SliceCols:
+            return int64_t{d.outCol} + d.cols;
+          case ColExt::Xyz:
+            return 3;
+          case ColExt::MlpIn:
+            return mlp().layer(static_cast<size_t>(d.firstLayer)).inDim();
+          case ColExt::MlpOut:
+            return mlp().outDim();
+          case ColExt::WeightIn:
+            return table(e.weights_, d.weightId, "weight", step).rows();
+          case ColExt::WeightOut:
+            return table(e.weights_, d.weightId, "weight", step).cols();
+          case ColExt::Own:
+            return bufs[static_cast<size_t>(id)].cols;
+          case ColExt::SumSrcs: {
+            int64_t sum = 0;
+            for (int32_t src : d.srcs)
+                sum += bufs[static_cast<size_t>(src)].cols;
+            return sum;
+          }
+          case ColExt::Ids:
+            return d.srcRows;
+        }
+        return 0;
     }
 };
 

@@ -8,23 +8,31 @@
  *
  * Format: little-endian, magic "MESO" + format version, then every
  * engine table (modules, buffer shapes, arena offsets, descriptor
- * steps, pass stats, MLP/weight parameter tables). OpDesc fields are
- * written as (tag, value) pairs with defaults omitted, so the format
- * survives adding descriptor fields without a version bump: old tags
- * keep their meaning, unknown tags are a hard error (they would change
- * numerics silently).
+ * steps with their read/write sets and root flag, pass stats,
+ * MLP/weight parameter tables). OpDesc fields are written as (tag,
+ * value) pairs with defaults omitted, from one field table in tag order,
+ * so the format survives adding descriptor fields without a version
+ * bump: old tags keep their meaning, unknown tags are a hard error (they
+ * would change numerics silently).
  *
  * Versioning policy: kEngineFormatVersion bumps whenever a change
- * would make an old reader mis-execute (new op kind, changed field
- * meaning). Loaders reject any other version — artifacts are a cache,
- * not an interchange format, and recompiling is always correct.
+ * would make an old reader mis-execute (changed field meaning). Loaders
+ * reject any other version — artifacts are a cache, not an interchange
+ * format, and recompiling is always correct. Op kinds are serialized by
+ * explicit value, and a reader rejects any value it has no schema row
+ * for, so adding an op kind needs no bump; retiring one leaves its value
+ * unused forever (7 is retired this way, still format v1).
  *
- * Robustness contract: loadEngine never exhibits UB on corrupt input.
- * Every read is bounds-checked and every decoded structure validated
- * (buffer ids, table ids, op kinds) before bake(); failures throw
- * UsageError with a "corrupt engine artifact" message
- * (tests/test_engine_serialize.cpp feeds truncated and bit-flipped
- * artifacts under ASan).
+ * Robustness contract: an artifact that loads executes without UB.
+ * Every read is bounds-checked, and before bake() the decoded engine is
+ * validated against the op schema (op_schema.hpp): operand ids, every
+ * touched extent against its buffer, table, module state or the
+ * logits, dtype rules, the stored read/write sets and root flags
+ * against the derived ones, and the stored arena plan against a
+ * re-derived one. Failures throw UsageError carrying CorruptArtifact;
+ * execution fails only with typed errors from the kernels' own checks
+ * (tests/test_engine_serialize.cpp loads truncated and bit-flipped
+ * artifacts and executes every one that loads, under ASan+UBSan in CI).
  */
 #pragma once
 

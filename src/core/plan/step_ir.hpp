@@ -4,8 +4,9 @@
  * passes rewrite and the serializable body of a CompiledEngine.
  *
  * Every step is a structured OpDesc — there are no opaque closures in
- * the IR. Emission (compiler_emit.cpp) produces StepIR records with
- * declared read/write resource sets; the pass pipeline
+ * the IR. Emission (compiler_emit.cpp) produces StepIR records whose
+ * read/write resource sets derive from the op schema (op_schema.hpp),
+ * never from a hand-written list; the pass pipeline
  * (core/plan/passes) rewrites them (removing dead steps, folding
  * epilogues into their producers, choosing PFT layouts); then
  * CompiledEngine::bake lowers every descriptor to a runtime closure
@@ -84,69 +85,70 @@ std::string resourceName(int32_t id);
  */
 enum class OpKind
 {
-    Generic, ///< invalid sentinel; never emitted, never baked
+    Generic = 0, ///< invalid sentinel; never emitted, never baked
     /** mlp(mlpId).forwardInto(in, ld(in), rows, out, ld(out),
      *  firstLayer). @p out may be kResLogits (writes ctx.logits_). */
-    MlpForward,
+    MlpForward = 1,
     /** matmulInto(out, ld(out), in, ld(in), rows, weight(weightId)). */
-    Matmul,
+    Matmul = 2,
     /** biasReluBlockInPlace(out, ld(out), rows, cols, bias(biasId),
      *  relu); biasId < 0 means no bias row. */
-    BiasRelu,
+    BiasRelu = 3,
     /** Per-centroid fused gather + column max from @p in into @p out
      *  over module @p mod's NIT rows. */
-    AggGatherMax,
+    AggGatherMax = 4,
     /** out.row(c) -= aux.row(centroid[c]) — the delayed-aggregation
      *  centroid subtraction (exact past the max). */
-    AggSubCentroid,
+    AggSubCentroid = 5,
     /** out.row(c) = act(out.row(c) + aux.row(centroid[c])) — the
      *  EdgeConv split-weight epilogue. */
-    AggAddAuxRelu,
-    /** Layout conversion: copy rows of @p in into @p out with @p out's
-     *  leading dimension. */
-    PackRows,
+    AggAddAuxRelu = 6,
+    // 7 is retired (a row-copy layout conversion, unused since PFT
+    // layout became an in-place ld change) and never reused: the
+    // loader rejects op 7 as a corrupt artifact.
     /** One sampler draw: sampleWithoutReplacementInto(srcRows, rows,
      *  centroids(mod)). Chained through kResRng (see above). */
-    RngDraw,
+    RngDraw = 8,
     /** Unpack the input cloud's xyz into arena buffer @p out
      *  (rows x 3). */
-    MaterializeCloud,
+    MaterializeCloud = 9,
     /** Resolve module @p mod's centroid list (@p mode — see
      *  SampleMode): iota, sorted random draws, FPS over @p in coords,
      *  or the global singleton {0}. */
-    ResolveSample,
+    ResolveSample = 10,
     /** Fill module @p mod's flat NIT: knn/radius queries with the
      *  compile-resolved @p backend over @p in (srcRows x inCols),
      *  queried at the module's centroids. */
-    SearchNit,
+    SearchNit = 11,
     /** Grouped neighbor-difference rows: for centroid c and neighbor j,
      *  row (c*k+j) of @p out is nf-cf (or [cf | nf-cf] when @p concat)
      *  gathered from @p in via module @p mod's NIT/centroids. */
-    GroupDiff,
+    GroupDiff = 12,
     /** Per-centroid max over k contiguous rows: out.row(c) =
      *  colmax(in.rows[c*k .. c*k+k)). */
-    ReduceMaxRows,
+    ReduceMaxRows = 13,
     /** Column max over all @p srcRows rows of @p in, written to
      *  out.row(0) starting at column @p outCol. */
-    ReduceMaxAll,
+    ReduceMaxAll = 14,
     /** out.row(c) = in.row(centroids(mod)[c]), @p cols floats. */
-    GatherRows,
+    GatherRows = 15,
     /** Zero @p rows x @p cols of @p out. */
-    FillZero,
+    FillZero = 16,
     /** Column concatenation of @p srcs into @p out; a 1-row source is
      *  broadcast onto every output row. */
-    ConcatCols,
+    ConcatCols = 17,
     /** PointNet++ three-interpolate: inverse-distance-weighted average
      *  of the k nearest coarse points. in = coarse features
      *  (srcRows x cols), aux = coarse coords, in2 = fine coords,
      *  out = rows x cols. Queries the compile-resolved @p backend. */
-    Interp3NN,
+    Interp3NN = 18,
     /** Symmetric quantization of @p rows x @p cols of f32 buffer @p in
      *  into quantized buffer @p out; @p out's BufferShape dtype/qscale
      *  select int8 or packed int4 (quantize_pft pass). */
-    QuantizeRows,
+    QuantizeRows = 19,
 };
 
+/** The op's schema name (op_schema.hpp); "?" for values with no row. */
 const char *opKindName(OpKind op);
 
 /** ResolveSample strategies (OpDesc::mode). */
@@ -195,8 +197,11 @@ struct OpDesc
 
 /** One step of the program. The descriptor (plus any epilogues the
  *  fusion pass folded into @p tail) fully determines the baked
- *  closure; @p reads/@p writes are the declared resource sets liveness
- *  analysis and arena planning trust. */
+ *  closure. @p reads/@p writes/@p root are the resource sets liveness
+ *  analysis and arena planning trust; deriveAccess (op_schema.hpp)
+ *  sets them from the descriptors whenever a step is built or
+ *  rewritten, and the artifact loader rejects stored sets that differ
+ *  from the derived ones. */
 struct StepIR
 {
     StageKind kind = StageKind::Epilogue;
@@ -210,7 +215,7 @@ struct StepIR
 };
 
 /** Element type of an arena buffer. Quantized types are produced only
- *  by the (numerics-changing, opt-in) quantize_pft pass; everything
+ *  by the quantize_pft pass, which a calibration table arms; everything
  *  else stays F32. */
 enum class DType : int32_t
 {
@@ -291,9 +296,11 @@ struct ArenaPlanResult
     std::vector<int32_t> planId; ///< per-IR-buffer planner id; -1 = dead
 };
 
-/** Re-run the ArenaPlanner over @p ir: every buffer referenced by a
- *  surviving step is registered with its first/last touching step as
- *  the live range; buffers no step references are dead (planId -1). */
-ArenaPlanResult planArenaFor(const PlanIR &ir);
+/** Re-run the ArenaPlanner over @p steps: every buffer referenced by a
+ *  step is registered with its first/last touching step as the live
+ *  range; buffers no step references are dead (planId -1). The loader
+ *  re-runs it to check an artifact's stored offsets. */
+ArenaPlanResult planArenaFor(const std::vector<StepIR> &steps,
+                             const std::vector<BufferShape> &bufs);
 
 } // namespace mesorasi::core::plan

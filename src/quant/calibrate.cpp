@@ -92,7 +92,6 @@ compileQuantizedPft(const core::NetworkExecutor &exec,
 
     core::plan::CompileOptions q = opts;
     q.passes.quantCalibration = std::move(cal);
-    q.passes.allowNumericsChanging = true;
     q.passes.quantInt4MinRows = int4MinRows;
     return core::plan::PlanCompiler::compile(exec, kind, q);
 }

@@ -16,9 +16,9 @@
  *
  *   1. compile the network fp32 (no calibration in the options);
  *   2. calibratePft() over representative clouds;
- *   3. recompile with the calibration table and the numerics-changing
- *      opt-in — buffer ids are stable across the recompile because
- *      passes append buffers, never renumber them.
+ *   3. recompile with the calibration table, which alone arms the
+ *      quantize_pft pass — buffer ids are stable across the recompile
+ *      because passes append buffers, never renumber them.
  */
 #pragma once
 
@@ -52,9 +52,8 @@ calibratePft(const core::plan::CompiledEngine &engine,
  * The whole calibrate-then-recompile workflow: compile @p exec fp32
  * under @p opts (any calibration already in the options is cleared for
  * the fp32 compile), calibrate over @p clouds, then recompile with the
- * measured ranges, allowNumericsChanging set, and
- * quantInt4MinRows = @p int4MinRows (default: int8 everywhere; pass a
- * row threshold to pack the largest PFTs to int4).
+ * measured ranges and quantInt4MinRows = @p int4MinRows (default: int8
+ * everywhere; pass a row threshold to pack the largest PFTs to int4).
  */
 core::plan::CompiledEngine
 compileQuantizedPft(const core::NetworkExecutor &exec,

@@ -295,18 +295,6 @@ biasReluBlockInPlace(float *dst, int64_t stride, int32_t rows,
 }
 
 void
-copyRowsInto(float *dst, int64_t dstStride, const float *src,
-             int64_t srcStride, int64_t rows, int32_t cols)
-{
-    MESO_REQUIRE(dstStride >= cols && srcStride >= cols,
-                 "copyRowsInto strides " << dstStride << "/" << srcStride
-                                         << " for " << cols << " cols");
-    for (int64_t r = 0; r < rows; ++r)
-        std::copy(src + r * srcStride, src + r * srcStride + cols,
-                  dst + r * dstStride);
-}
-
-void
 batchNormInPlace(Tensor &x, const Tensor &gamma, const Tensor &beta,
                  const Tensor &mean, const Tensor &var, float eps)
 {

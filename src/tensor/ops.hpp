@@ -108,16 +108,6 @@ void matmulInto(float *dst, int64_t dstStride, const float *a,
                 int64_t aStride, int32_t rows, const Tensor &b);
 
 /**
- * Strided row-block copy: dst row r gets src row r's first @p cols
- * floats; strides are leading dimensions in floats (>= cols). The plan
- * optimizer's layout-conversion steps (PackRows) use this to repack a
- * buffer under a different leading dimension; destination padding is
- * left untouched.
- */
-void copyRowsInto(float *dst, int64_t dstStride, const float *src,
-                  int64_t srcStride, int64_t rows, int32_t cols);
-
-/**
  * Fused bias + ReLU epilogue over a strided row block, in place:
  * row[c] = max(0, row[c] + bias[c]) with either part optional
  * (@p bias may be null, @p applyRelu may be false). One pass over the

@@ -15,17 +15,22 @@
  *  4. Robustness: truncated, bit-flipped, magic- and version-mangled
  *     artifacts either throw UsageError/InternalError with a clear
  *     message or (for flips that keep the artifact well-formed) load
- *     an engine without being executed — never UB. The CI sanitize
- *     job runs this suite under ASan/UBSan, which is what turns
- *     "never UB" from a comment into a checked property.
+ *     an engine that then executes once cleanly or with a typed error
+ *     — never UB. The loader re-derives each step's read/write sets
+ *     from the op schema and rejects stored sets that differ, and
+ *     rejects the retired op kind 7. The CI sanitize job runs this
+ *     suite under ASan/UBSan, which is what turns "never UB" from a
+ *     comment into a checked property.
  *
  * Every compile pins PassOptions::Enable explicitly so the suite is
  * green regardless of MESORASI_PLAN_PASSES.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +38,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/networks.hpp"
+#include "core/plan/op_schema.hpp"
 #include "core/plan/plan_compiler.hpp"
 #include "core/plan/serialize.hpp"
 #include "core/plan/step_ir.hpp"
@@ -108,6 +114,18 @@ miniPointNet()
         miniGlobal("sa3", {64, 96}),
     };
     net.headWidths = {64};
+    return net;
+}
+
+/** miniPointNet with farthest-point sampling: the only ResolveSample
+ *  mode that reads a buffer. */
+NetworkConfig
+miniFpsNet()
+{
+    NetworkConfig net = miniPointNet();
+    net.name = "mini-pnpp-fps";
+    net.modules[0].sampling = SamplingKind::FarthestPoint;
+    net.modules[1].sampling = SamplingKind::FarthestPoint;
     return net;
 }
 
@@ -219,6 +237,7 @@ checkRoundTrip(const NetworkConfig &cfg, PipelineKind kind,
 
     EXPECT_EQ(loaded.pipeline(), fresh.pipeline()) << what;
     EXPECT_EQ(loaded.steps().size(), fresh.steps().size()) << what;
+    EXPECT_EQ(saveEngineToBytes(loaded), bytes) << what << " re-save";
 
     auto fctx = fresh.makeContext();
     auto lctx = loaded.makeContext();
@@ -232,24 +251,137 @@ checkRoundTrip(const NetworkConfig &cfg, PipelineKind kind,
     }
 }
 
-/** Attempt a load of deliberately mangled bytes: the only acceptable
- *  outcomes are UsageError carrying StatusCode::CorruptArtifact,
- *  InternalError, or a successfully decoded engine (never executed).
- *  Anything else — another exception type, an untyped rejection, or
- *  memory badness under the sanitizers — fails the test. */
+/** Load deliberately mangled bytes and, if they load, execute the
+ *  engine once on a fresh context. The only acceptable load outcomes
+ *  are UsageError carrying StatusCode::CorruptArtifact, InternalError,
+ *  or a decoded engine; a decoded engine must then execute cleanly or
+ *  fail with a typed (UsageError/InternalError) error. Anything else —
+ *  another exception type, an untyped rejection, a crash, or memory
+ *  badness under the sanitizers — fails the test. */
 void
-loadMangled(const std::vector<uint8_t> &bytes, const std::string &what)
+loadMangled(const std::vector<uint8_t> &bytes, const PointCloud &cloud,
+            const std::string &what)
 {
+    std::optional<CompiledEngine> e;
     try {
-        CompiledEngine e = loadEngineFromBytes(bytes.data(), bytes.size());
-        (void)e; // decoded + validated + baked, but never executed
-    } catch (const UsageError &e) {
-        EXPECT_EQ(e.code(), StatusCode::CorruptArtifact)
-            << what << ": untyped rejection: " << e.what();
+        e.emplace(loadEngineFromBytes(bytes.data(), bytes.size()));
+    } catch (const UsageError &err) {
+        EXPECT_EQ(err.code(), StatusCode::CorruptArtifact)
+            << what << ": untyped rejection: " << err.what();
+        return;
     } catch (const InternalError &) {
+        return;
     } catch (...) {
         FAIL() << what << ": unexpected exception type escaped load";
     }
+    try {
+        auto ctx = e->makeContext();
+        e->execute(cloud, 1, *ctx);
+    } catch (const UsageError &) {
+    } catch (const InternalError &) {
+    } catch (...) {
+        FAIL() << what << ": unexpected exception type escaped execute";
+    }
+}
+
+/** Expect @p bytes to be rejected at load with CorruptArtifact and a
+ *  message naming @p reason. */
+void
+expectCorrupt(const std::vector<uint8_t> &bytes, const std::string &reason,
+              const std::string &what)
+{
+    Expected<CompiledEngine> got =
+        tryLoadEngineFromBytes(bytes.data(), bytes.size());
+    ASSERT_FALSE(got.hasValue()) << what << ": mangled artifact loaded";
+    EXPECT_EQ(got.status().code(), StatusCode::CorruptArtifact)
+        << what << ": " << got.status().toString();
+    EXPECT_NE(got.status().message().find(reason), std::string::npos)
+        << what << ": " << got.status().toString();
+}
+
+// --- Artifact surgery: locate one step's fields in the bytes ----------
+
+int32_t
+readI32(const std::vector<uint8_t> &b, size_t at)
+{
+    int32_t v;
+    std::memcpy(&v, b.data() + at, sizeof v);
+    return v;
+}
+
+void
+writeI32(std::vector<uint8_t> &b, size_t at, int32_t v)
+{
+    std::memcpy(b.data() + at, &v, sizeof v);
+}
+
+/** Offset just past the descriptor field (tag, value) at @p at. */
+size_t
+skipField(const std::vector<uint8_t> &b, size_t at)
+{
+    uint8_t tag = b[at++];
+    if (tag == 6)
+        return at + 8; // rows: i64
+    if (tag >= 20 && tag <= 22)
+        return at + 1; // relu, knn, concat: u8
+    if (tag == 23)
+        return at + 4 + static_cast<size_t>(readI32(b, at)); // custom
+    if (tag == 24)
+        return at + 4 + 4 * static_cast<size_t>(readI32(b, at)); // srcs
+    return at + 4; // every other tag: i32 or f32
+}
+
+/** Offset just past the descriptor starting at @p at. */
+size_t
+skipDesc(const std::vector<uint8_t> &b, size_t at)
+{
+    while (b[at] != 0)
+        at = skipField(b, at);
+    return at + 1;
+}
+
+/** Byte offsets of one serialized step's fields. */
+struct StepBytes
+{
+    size_t desc;   ///< the head descriptor's first tag
+    size_t reads;  ///< the read set's u32 count
+    size_t writes; ///< the write set's u32 count
+    size_t root;   ///< the root flag
+};
+
+/** Find step @p name: its length-prefixed name is unique in the
+ *  artifact, and the step's fields follow it in save order. */
+StepBytes
+findStep(const std::vector<uint8_t> &b, const std::string &name)
+{
+    std::vector<uint8_t> key(4 + name.size());
+    uint32_t n = static_cast<uint32_t>(name.size());
+    std::memcpy(key.data(), &n, 4);
+    std::memcpy(key.data() + 4, name.data(), name.size());
+    auto it = std::search(b.begin(), b.end(), key.begin(), key.end());
+    MESO_CHECK(it != b.end(), "no step named " << name);
+    StepBytes s;
+    s.desc = static_cast<size_t>(it - b.begin()) + key.size();
+    size_t at = skipDesc(b, s.desc);
+    int32_t tails = readI32(b, at);
+    at += 4;
+    for (int32_t t = 0; t < tails; ++t)
+        at = skipDesc(b, at);
+    s.reads = at;
+    s.writes = s.reads + 4 + 4 * static_cast<size_t>(readI32(b, s.reads));
+    s.root = s.writes + 4 + 4 * static_cast<size_t>(readI32(b, s.writes));
+    return s;
+}
+
+/** Offset of the value of tag @p tag in the descriptor at @p at. */
+size_t
+findTag(const std::vector<uint8_t> &b, size_t at, uint8_t tag)
+{
+    while (b[at] != tag && b[at] != 0)
+        at = skipField(b, at);
+    EXPECT_EQ(b[at], tag) << "tag " << static_cast<int>(tag)
+                          << " not in descriptor";
+    return at + 1;
 }
 
 // --- Round-trip bitwise parity ----------------------------------------
@@ -296,6 +428,11 @@ TEST(EngineSerialize, RoundTripNetworkShapes)
                        "seg-orig" + sfx);
         checkRoundTrip(miniDetNet(), PipelineKind::Delayed, enable,
                        "det" + sfx);
+        for (PipelineKind kind :
+             {PipelineKind::Original, PipelineKind::Delayed,
+              PipelineKind::LtdDelayed})
+            checkRoundTrip(miniFpsNet(), kind, enable,
+                           std::string("fps/") + pipelineName(kind) + sfx);
     }
 }
 
@@ -440,18 +577,20 @@ TEST(EngineSerialize, ByteFlipSweepNeverUB)
     CompiledEngine eng = PlanCompiler::compile(
         exec, PipelineKind::Delayed, withPasses(PassOptions::Enable::On));
     const std::vector<uint8_t> good = saveEngineToBytes(eng);
+    const PointCloud cloud = cloudFor(tinyNet());
 
     // Flip every byte once (XOR 0xFF), plus milder single-bit flips at
     // every offset; each mangled artifact must either throw a typed
-    // error or decode+validate+bake cleanly. Under the CI sanitize job
-    // this sweep is the "never UB" proof.
+    // error or decode+validate+bake and then execute cleanly or with a
+    // typed error. Under the CI sanitize job this sweep is the "never
+    // UB" proof.
     for (size_t i = 0; i < good.size(); ++i) {
         std::vector<uint8_t> m = good;
         m[i] ^= 0xFF;
-        loadMangled(m, "xor 0xFF at " + std::to_string(i));
+        loadMangled(m, cloud, "xor 0xFF at " + std::to_string(i));
         m = good;
         m[i] ^= 0x01;
-        loadMangled(m, "xor 0x01 at " + std::to_string(i));
+        loadMangled(m, cloud, "xor 0x01 at " + std::to_string(i));
     }
 }
 
@@ -461,8 +600,9 @@ TEST(EngineSerialize, SeededFuzzFlipsNeverCrashAndStayTyped)
     // so the quant-entry decoding and the quantized-role validation
     // are in the blast radius too. Each round flips 1-4 seed-chosen
     // bits anywhere in the artifact; the only acceptable outcomes are
-    // a clean decode or a typed CorruptArtifact rejection. The seed is
-    // fixed so a CI failure reproduces locally.
+    // a typed CorruptArtifact rejection, or a clean decode that then
+    // executes cleanly or with a typed error. The seed is fixed so a CI
+    // failure reproduces locally.
     NetworkConfig cfg = tinyNet();
     NetworkExecutor exec(cfg, 3);
     std::vector<PointCloud> calib = {cloudFor(cfg, 5), cloudFor(cfg, 6)};
@@ -472,6 +612,7 @@ TEST(EngineSerialize, SeededFuzzFlipsNeverCrashAndStayTyped)
     ASSERT_GT(eng.stats().buffersQuantized, 0)
         << "fuzz corpus lost its quant section";
     const std::vector<uint8_t> good = saveEngineToBytes(eng);
+    const PointCloud cloud = cloudFor(cfg);
 
     Rng rng(20260808);
     for (int round = 0; round < 1000; ++round) {
@@ -482,10 +623,94 @@ TEST(EngineSerialize, SeededFuzzFlipsNeverCrashAndStayTyped)
                 0, static_cast<int64_t>(m.size()) - 1));
             m[at] ^= static_cast<uint8_t>(1u << rng.uniformInt(0, 7));
         }
-        loadMangled(m, "fuzz round " + std::to_string(round));
+        loadMangled(m, cloud, "fuzz round " + std::to_string(round));
         if (::testing::Test::HasFailure())
             break; // first failing round pinpoints the repro
     }
+}
+
+TEST(EngineSerialize, RejectsLoadsThatWouldOverrunOnExecute)
+{
+    // Two one-field manglings that used to load cleanly and then write
+    // out of bounds when executed.
+    {
+        // Header logitsRows 1 -> 0: the head's logits write went
+        // through a null pointer.
+        NetworkExecutor exec(tinyNet(), 3);
+        CompiledEngine eng = PlanCompiler::compile(
+            exec, PipelineKind::Delayed,
+            withPasses(PassOptions::Enable::On));
+        std::vector<uint8_t> m = saveEngineToBytes(eng);
+        constexpr size_t kLogitsRows = 16; // magic, version, kind, points
+        ASSERT_EQ(readI32(m, kLogitsRows), eng.logitsRows());
+        writeI32(m, kLogitsRows, 0);
+        expectCorrupt(m, "touches", "logitsRows 0");
+    }
+    {
+        // One bit flip of sa1.coords' cols (3 -> 16387): GatherRows
+        // copied 16387 floats per row out of a 3-column buffer.
+        NetworkExecutor exec(miniPointNet(), 3);
+        CompiledEngine eng = PlanCompiler::compile(
+            exec, PipelineKind::Delayed,
+            withPasses(PassOptions::Enable::On));
+        std::vector<uint8_t> m = saveEngineToBytes(eng);
+        size_t cols = findTag(m, findStep(m, "sa1.coords").desc, 7);
+        ASSERT_EQ(readI32(m, cols), 3);
+        m[cols + 1] ^= 0x40;
+        ASSERT_EQ(readI32(m, cols), 16387);
+        expectCorrupt(m, "touches", "sa1.coords cols 16387");
+    }
+}
+
+TEST(EngineSerialize, RejectsStoredAccessSetsThatDifferFromTheSchema)
+{
+    NetworkExecutor exec(tinyNet(), 3);
+    CompiledEngine eng = PlanCompiler::compile(
+        exec, PipelineKind::Delayed, withPasses(PassOptions::Enable::On));
+    const std::vector<uint8_t> good = saveEngineToBytes(eng);
+    const std::string kSets = "stored read/write sets differ";
+
+    // sa1.search reads {coords, cent(sa1)} and writes {nit(sa1)}.
+    const StepBytes st = findStep(good, "sa1.search");
+    for (size_t set : {st.reads, st.writes}) {
+        std::string which = set == st.reads ? "reads" : "writes";
+        int32_t n = readI32(good, set);
+        ASSERT_GT(n, 0);
+        auto last = good.begin() + static_cast<ptrdiff_t>(set + 4 * n);
+
+        std::vector<uint8_t> dropped(good.begin(), last);
+        dropped.insert(dropped.end(), last + 4, good.end());
+        writeI32(dropped, set, n - 1);
+        expectCorrupt(dropped, kSets, which + " with one id dropped");
+
+        std::vector<uint8_t> added(good.begin(), last + 4);
+        added.insert(added.end(), last, last + 4); // repeat the last id
+        added.insert(added.end(), last + 4, good.end());
+        writeI32(added, set, n + 1);
+        expectCorrupt(added, kSets, which + " with one id added");
+    }
+
+    // Root: the logits writer must be the root, and only it.
+    std::vector<uint8_t> m = good;
+    m[findStep(m, "head.fc").root] ^= 1;
+    expectCorrupt(m, kSets, "head.fc root cleared");
+    m = good;
+    m[st.root] ^= 1;
+    expectCorrupt(m, kSets, "sa1.search root set");
+}
+
+TEST(EngineSerialize, RejectsRetiredOpKind)
+{
+    // Op value 7 is retired and never reused: naming it is corruption.
+    NetworkExecutor exec(tinyNet(), 3);
+    CompiledEngine eng = PlanCompiler::compile(
+        exec, PipelineKind::Delayed, withPasses(PassOptions::Enable::On));
+    std::vector<uint8_t> m = saveEngineToBytes(eng);
+    size_t op = findTag(m, findStep(m, "sa1.search").desc, 1);
+    ASSERT_EQ(readI32(m, op), static_cast<int32_t>(OpKind::SearchNit));
+    writeI32(m, op, 7);
+    expectCorrupt(m, "not a valid kind", "op 7");
+    EXPECT_EQ(opSchema(static_cast<OpKind>(7)), nullptr);
 }
 
 TEST(EngineSerialize, TryLoadReturnsTypedStatusInsteadOfThrowing)

@@ -175,6 +175,18 @@ miniPointNet()
     return net;
 }
 
+/** miniPointNet with farthest-point sampling in both searching
+ *  modules: the only ResolveSample mode that reads a buffer. */
+NetworkConfig
+miniFpsNet()
+{
+    NetworkConfig net = miniPointNet();
+    net.name = "mini-pnpp-fps";
+    net.modules[0].sampling = SamplingKind::FarthestPoint;
+    net.modules[1].sampling = SamplingKind::FarthestPoint;
+    return net;
+}
+
 /** Linked EdgeConv net with a DGCNN concat head (feature-space k-NN,
  *  concat aggregation, single-layer MLPs). */
 NetworkConfig
@@ -317,18 +329,19 @@ TEST(ArenaPlanner, DisjointLivesAlias)
 
 TEST(CompiledEngine, ParityAcrossPipelinesAndBackends)
 {
-    NetworkConfig base = miniPointNet();
-    for (PipelineKind kind :
-         {PipelineKind::Original, PipelineKind::Delayed,
-          PipelineKind::LtdDelayed}) {
-        for (neighbor::Backend backend :
-             {neighbor::Backend::BruteForce, neighbor::Backend::Grid,
-              neighbor::Backend::KdTree}) {
-            NetworkConfig cfg = base;
-            cfg.backend = backend;
-            checkParity(cfg, kind,
-                        std::string(pipelineName(kind)) + "/" +
-                            neighbor::backendName(backend));
+    for (const NetworkConfig &base : {miniPointNet(), miniFpsNet()}) {
+        for (PipelineKind kind :
+             {PipelineKind::Original, PipelineKind::Delayed,
+              PipelineKind::LtdDelayed}) {
+            for (neighbor::Backend backend :
+                 {neighbor::Backend::BruteForce, neighbor::Backend::Grid,
+                  neighbor::Backend::KdTree}) {
+                NetworkConfig cfg = base;
+                cfg.backend = backend;
+                checkParity(cfg, kind,
+                            base.name + "/" + pipelineName(kind) + "/" +
+                                neighbor::backendName(backend));
+            }
         }
     }
 }

@@ -17,12 +17,10 @@
  *     unchanged bits), and the synthetic-IR proof that the rewrite is
  *     a one-word ld change — no conversion steps, no new buffers, no
  *     rewiring (the descriptor-complete IR has no opaque producers).
- *  5. The numerics-changing pass gate (changesNumerics() => skipped
- *     without the explicit opt-in).
- *  6. Satellites: sampler/search DCE liveness (a dead search branch is
- *     actually eliminated), copyRowsInto padding contract, BatchRunner
- *     worker clamping, strided PointsView / dist2Batch parity over
- *     padded rows, CompiledEngine::dump content.
+ *  5. Satellites: sampler/search DCE liveness (a dead search branch is
+ *     actually eliminated), BatchRunner worker clamping, strided
+ *     PointsView / dist2Batch parity over padded rows,
+ *     CompiledEngine::dump content.
  *
  * Every compile here pins PassOptions::Enable to On or Off explicitly,
  * so the suite is green regardless of the MESORASI_PLAN_PASSES
@@ -33,7 +31,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -286,14 +283,10 @@ TEST(DeadStepElimination, DetectionDropsEncoderTail)
 
     for (const PassStat &p : off.passStats())
         EXPECT_FALSE(p.ran) << p.pass;
-    // Every numerics-preserving pass runs. quantize_pft is gated
-    // behind the numerics opt-in (and no-ops without a calibration
-    // table), so its ran flag depends on the environment leg — not
-    // asserted here.
+    // Every pass runs except quantize_pft, which needs a calibration
+    // table.
     for (const PassStat &p : on.passStats())
-        if (p.pass != "quantize_pft") {
-            EXPECT_TRUE(p.ran) << p.pass;
-        }
+        EXPECT_EQ(p.ran, p.pass != "quantize_pft") << p.pass;
 
     auto ctxOff = off.makeContext();
     auto ctxOn = on.makeContext();
@@ -389,7 +382,7 @@ TEST(DeadStepElimination, SyntheticReplanShrinksArena)
     s3.root = true;
     ir.steps.push_back(s3);
 
-    ArenaPlanResult pre = planArenaFor(ir);
+    ArenaPlanResult pre = planArenaFor(ir.steps, ir.bufs);
     ASSERT_GE(pre.planId[static_cast<size_t>(dead)], 0);
 
     PassStat stat;
@@ -401,7 +394,7 @@ TEST(DeadStepElimination, SyntheticReplanShrinksArena)
     ASSERT_EQ(ir.steps.size(), 3u);
     EXPECT_EQ(ir.steps[2].name, "emit");
 
-    ArenaPlanResult post = planArenaFor(ir);
+    ArenaPlanResult post = planArenaFor(ir.steps, ir.bufs);
     // The unread buffer is dead and the arena shrinks.
     EXPECT_EQ(post.planId[static_cast<size_t>(dead)], -1);
     EXPECT_LT(post.planner.totalFloats(), pre.planner.totalFloats());
@@ -618,69 +611,7 @@ TEST(PftLayoutSelection, RewritesLdInPlaceWithoutNewSteps)
     EXPECT_NE(ir.steps[0].note.find("aligned16"), std::string::npos);
 }
 
-// --- Numerics-changing pass gate --------------------------------------
-
-class CountingNumericsPass final : public Pass
-{
-  public:
-    explicit CountingNumericsPass(int *runs) : runs_(runs) {}
-    const char *name() const override { return "test_numerics"; }
-    bool changesNumerics() const override { return true; }
-    void
-    run(PlanIR &, const PassOptions &, PassStat &) override
-    {
-        ++*runs_;
-    }
-
-  private:
-    int *runs_;
-};
-
-TEST(NumericsGate, ChangingPassSkippedWithoutOptIn)
-{
-    // The env opt-in would arm the gate for the whole process (the CI
-    // quantized leg exports it); this test is about the default.
-    unsetenv("MESORASI_PLAN_NUMERICS_PASSES");
-    int runs = 0;
-    PassManager pm;
-    pm.add(std::make_unique<CountingNumericsPass>(&runs));
-    PlanIR ir;
-    PassOptions opts;
-    opts.enable = PassOptions::Enable::On;
-
-    std::vector<PassStat> stats = pm.run(ir, opts);
-    ASSERT_EQ(stats.size(), 1u);
-    EXPECT_FALSE(stats[0].ran);
-    EXPECT_EQ(runs, 0);
-
-    opts.allowNumericsChanging = true;
-    stats = pm.run(ir, opts);
-    EXPECT_TRUE(stats[0].ran);
-    EXPECT_EQ(runs, 1);
-}
-
-// --- Satellite kernels and runtime ------------------------------------
-
-TEST(CopyRowsInto, LeavesDestinationPaddingUntouched)
-{
-    constexpr int64_t kRows = 4;
-    constexpr int32_t kCols = 5;
-    constexpr int64_t kSrcLd = 5, kDstLd = 8;
-    std::vector<float> src(kRows * kSrcLd);
-    for (size_t i = 0; i < src.size(); ++i)
-        src[i] = static_cast<float>(i) * 0.5f - 3.0f;
-    std::vector<float> dst(kRows * kDstLd, -7.0f);
-
-    tensor::copyRowsInto(dst.data(), kDstLd, src.data(), kSrcLd, kRows,
-                         kCols);
-    for (int64_t r = 0; r < kRows; ++r) {
-        for (int32_t c = 0; c < kCols; ++c)
-            EXPECT_EQ(dst[static_cast<size_t>(r * kDstLd + c)],
-                      src[static_cast<size_t>(r * kSrcLd + c)]);
-        for (int64_t c = kCols; c < kDstLd; ++c)
-            EXPECT_EQ(dst[static_cast<size_t>(r * kDstLd + c)], -7.0f);
-    }
-}
+// --- Satellite runtime checks ----------------------------------------
 
 TEST(BatchRunnerClamp, OversizedRequestClampsToHardware)
 {

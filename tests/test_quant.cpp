@@ -15,9 +15,9 @@
  *     calibration sets are rejected with UsageError, and a network
  *     with no gather buffers (global-only, single-point cloud)
  *     compiles through the workflow unquantized.
- *  4. The opt-in gate: with calibration supplied but numerics-changing
- *     passes not allowed, quantize_pft records ran=false and logits
- *     stay bitwise identical to the fp32 engine.
+ *  4. The calibration alone arms quantize_pft: without one the pass
+ *     records ran=false and logits stay bitwise identical to the fp32
+ *     reference.
  *  5. End-to-end: compileQuantizedPft rewrites the delayed and
  *     EdgeConv gathers to int8 (and to packed int4 under
  *     int4MinRows=0, including an odd-width PFT), shrinks the arena,
@@ -30,7 +30,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -549,7 +548,6 @@ TEST(Calibration, ConstantZeroRangeQuantizesWithScaleOne)
     // Forge a constant-zero range for every gathered buffer: the pass
     // must still produce a positive scale (1), not 0 or NaN.
     CompileOptions opts = passesOn();
-    opts.passes.allowNumericsChanging = true;
     for (const auto &[buf, unused] : real.maxAbs)
         opts.passes.quantCalibration.maxAbs[buf] = 0.0f;
     CompiledEngine q =
@@ -565,41 +563,34 @@ TEST(Calibration, ConstantZeroRangeQuantizesWithScaleOne)
         EXPECT_TRUE(std::isfinite(logits.data()[i]));
 }
 
-// --- The numerics gate -------------------------------------------------
+// --- The calibration arms the pass ------------------------------------
 
-TEST(QuantGate, CalibrationWithoutOptInIsBitwiseFp32)
+TEST(QuantGate, NoCalibrationIsBitwiseFp32)
 {
-    // The env opt-in would defeat the point of this test (the CI
-    // quantized leg exports it for the whole suite).
-    unsetenv("MESORASI_PLAN_NUMERICS_PASSES");
-
+    // Only a calibration table arms quantize_pft: without one the pass
+    // records ran=false and the engine matches the fp32 reference bit
+    // for bit.
     NetworkConfig cfg = miniPointNet();
     NetworkExecutor exec(cfg, 3);
     CompiledEngine fp32 =
         PlanCompiler::compile(exec, PipelineKind::Delayed, passesOn());
-    CompileOptions armed = passesOn();
-    armed.passes.quantCalibration =
-        quant::calibratePft(fp32, calibClouds(cfg, 1), 0);
-    ASSERT_FALSE(armed.passes.quantCalibration.empty());
-    CompiledEngine gated =
-        PlanCompiler::compile(exec, PipelineKind::Delayed, armed);
 
     bool sawSkipped = false;
-    for (const PassStat &p : gated.passStats())
+    for (const PassStat &p : fp32.passStats())
         if (p.pass == "quantize_pft") {
             EXPECT_FALSE(p.ran);
             sawSkipped = true;
         }
     EXPECT_TRUE(sawSkipped);
-    EXPECT_EQ(gated.stats().buffersQuantized, 0);
-    EXPECT_EQ(countOp(gated, OpKind::QuantizeRows), 0);
+    EXPECT_EQ(fp32.stats().buffersQuantized, 0);
+    EXPECT_EQ(countOp(fp32, OpKind::QuantizeRows), 0);
 
     PointCloud cloud = cloudFor(cfg);
-    auto ctxA = fp32.makeContext();
-    auto ctxB = gated.makeContext();
+    auto ctx = fp32.makeContext();
     for (uint64_t seed : {1ull, 9ull})
-        EXPECT_TRUE(bitwiseEqual(fp32.execute(cloud, seed, *ctxA),
-                                 gated.execute(cloud, seed, *ctxB)))
+        EXPECT_TRUE(
+            bitwiseEqual(fp32.execute(cloud, seed, *ctx),
+                         exec.run(cloud, PipelineKind::Delayed, seed).logits))
             << "seed " << seed;
 }
 
