@@ -4,8 +4,18 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <thread>
 
+#include "common/simd.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
+
+#ifndef MESORASI_BENCH_COMPILER
+#define MESORASI_BENCH_COMPILER "unknown"
+#endif
+#ifndef MESORASI_BENCH_BUILD_TYPE
+#define MESORASI_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace mesorasi::bench {
 
@@ -34,6 +44,37 @@ jsonEscape(const std::string &s)
         }
     }
     return os.str();
+}
+
+/** First line of @p cmd's stdout, or "" when it fails. */
+std::string
+firstLineOf(const char *cmd)
+{
+    std::string out;
+    if (FILE *p = popen(cmd, "r")) {
+        char buf[256];
+        if (std::fgets(buf, sizeof buf, p))
+            out = buf;
+        pclose(p);
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+        out.pop_back();
+    return out;
+}
+
+/** Short sha of the working directory's checkout, "-dirty" when it has
+ *  uncommitted changes (as benchmark/run.sh reports it); "unknown"
+ *  outside a git checkout. */
+std::string
+gitSha()
+{
+    std::string sha =
+        firstLineOf("git rev-parse --short=12 HEAD 2>/dev/null");
+    if (sha.empty())
+        return "unknown";
+    if (!firstLineOf("git status --porcelain 2>/dev/null").empty())
+        sha += "-dirty";
+    return sha;
 }
 
 } // namespace
@@ -66,8 +107,14 @@ BenchJsonWriter::write(const std::string &dir) const
         std::cerr << "warning: cannot write " << path(dir) << "\n";
         return false;
     }
-    out << "{\n  \"bench\": \"" << jsonEscape(benchName_)
-        << "\",\n  \"records\": [\n";
+    out << "{\n  \"bench\": \"" << jsonEscape(benchName_) << "\",\n"
+        << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+        << ", \"pool_threads\": " << ThreadPool::global().size()
+        << ", \"isa\": \"" << simd::kIsa << "\", \"simd_width\": "
+        << simd::width() << ", \"compiler\": \""
+        << jsonEscape(MESORASI_BENCH_COMPILER) << "\", \"build_type\": \""
+        << jsonEscape(MESORASI_BENCH_BUILD_TYPE) << "\", \"git_sha\": \""
+        << jsonEscape(gitSha()) << "\"},\n  \"records\": [\n";
     for (size_t i = 0; i < records_.size(); ++i) {
         const Record &r = records_[i];
         double median = 0.0, p90 = 0.0;

@@ -5,10 +5,13 @@
  * and the AU simulator itself. These are engineering benchmarks of
  * *this* implementation, complementing the figure-reproduction benches.
  *
- * Besides the google-benchmark suite, main() measures the batched
- * serving loop — a 16-cloud batch through BatchRunner on one compiled
- * engine, sequential vs 8 worker threads — and writes the machine-readable
- * BENCH_micro_substrates.json consumed by the perf-trajectory tooling.
+ * Besides the google-benchmark suite, main() measures the kernels and
+ * the batched serving loop — the matmul at the engine's F-step shapes
+ * (each SIMD result memcmp-checked against the scalar oracle), the
+ * aggregation and k-NN kernels, and a 16-cloud batch through
+ * BatchRunner on one compiled engine, sequential vs 8 worker threads —
+ * and writes the machine-readable BENCH_micro_substrates.json consumed
+ * by the perf-trajectory tooling.
  * Pass --batch-only to skip the google-benchmark suite.
  */
 #include <benchmark/benchmark.h>
@@ -417,8 +420,9 @@ runAggKernelBench(bench::BenchJsonWriter &json)
 
 // ---------------------------------------------------------------------
 // Matmul substrate: the register-blocked SIMD kernel vs the forced
-// scalar reference on the PFT-shaped product every module runs
-// (single-thread, so the ratio is pure SIMD, not threading).
+// scalar reference on the PFT-shaped product every module runs, with a
+// dense row-major B and no finiteness record, so every tile keeps the
+// zero skip (single-thread, so the ratio is pure SIMD, not threading).
 // ---------------------------------------------------------------------
 
 constexpr int kMatmulReps = 9;
@@ -480,6 +484,88 @@ runMatmulSimdBench(bench::BenchJsonWriter &json)
     };
     json.add("matmul_scalar", params(true), scalar);
     json.add("matmul_simd", params(false), simdSamples);
+}
+
+// ---------------------------------------------------------------------
+// Matmul at the engine's F-step shapes, single thread: the SIMD kernel
+// vs the forced-scalar oracle on half-zero (ReLU-like) activations,
+// reading B through the view the engine uses. MLP layers run on panels:
+// sa3's last layer (128 x 512 -> 1024), DGCNN's head.global (1024 x 512
+// -> 1024) and head.fc's first layer (one row, 1024 -> 512). DGCNN's
+// ec4 split-weight Matmul steps (1024 x 128 -> 256) run on a row-major
+// view. Every pair is checked memcmp-equal.
+// ---------------------------------------------------------------------
+
+constexpr int kMatmulFReps = 5;
+
+void
+runMatmulFShapeBench(bench::BenchJsonWriter &json)
+{
+    struct Shape
+    {
+        int32_t rows, inner, cols;
+        bool panels;
+    };
+    const Shape shapes[] = {{128, 512, 1024, true},
+                            {1024, 512, 1024, true},
+                            {1024, 128, 256, false},
+                            {1, 1024, 512, true}};
+    Table t("Matmul at the F-step shapes, half-zero input (single thread)",
+            {"Shape", "B view", "Scalar ms", "SIMD ms", "Speedup"});
+    for (const Shape &sh : shapes) {
+        Rng rng(41);
+        tensor::Tensor a =
+            tensor::uniform(rng, sh.rows, sh.inner, -1.0f, 1.0f);
+        for (int64_t i = 0; i < a.numel(); ++i)
+            a.data()[i] = std::max(0.0f, a.data()[i]);
+        tensor::Tensor w = tensor::kaimingNormal(rng, sh.inner, sh.cols);
+        tensor::PanelMatrix packed(w);
+        tensor::MatrixView b =
+            sh.panels ? packed.view()
+                      : tensor::rowMajorView(
+                            w, tensor::allFinite(w.data(), w.numel()));
+        tensor::Tensor outScalar(sh.rows, sh.cols);
+        tensor::Tensor outSimd(sh.rows, sh.cols);
+        auto samples = runInterleaved(
+            kMatmulFReps,
+            {[&] {
+                 bool prev = simd::forceScalar();
+                 simd::setForceScalar(true);
+                 tensor::matmulInto(outScalar.data(), sh.cols, a.data(),
+                                    sh.inner, sh.rows, b);
+                 simd::setForceScalar(prev);
+             },
+             [&] {
+                 tensor::matmulInto(outSimd.data(), sh.cols, a.data(),
+                                    sh.inner, sh.rows, b);
+             }});
+        MESO_CHECK(std::memcmp(outScalar.data(), outSimd.data(),
+                               static_cast<size_t>(outSimd.bytes())) == 0,
+                   "matmul kernel diverged from the scalar oracle at "
+                       << sh.rows << "x" << sh.inner << "x" << sh.cols);
+        double medScalar = percentile(samples[0], 50.0);
+        double medSimd = percentile(samples[1], 50.0);
+        std::string shape = std::to_string(sh.rows) + "x" +
+                            std::to_string(sh.inner) + "x" +
+                            std::to_string(sh.cols);
+        const char *view = sh.panels ? "panels" : "row_major";
+        t.addRow({shape, view, fmt(medScalar, 3), fmt(medSimd, 3),
+                  fmtX(medSimd > 0.0 ? medScalar / medSimd : 0.0)});
+        auto params = [&](bool forcedScalar) {
+            return std::vector<std::pair<std::string, std::string>>{
+                {"rows", std::to_string(sh.rows)},
+                {"inner", std::to_string(sh.inner)},
+                {"cols", std::to_string(sh.cols)},
+                {"b_view", view},
+                {"input", "half_zero"},
+                {"isa", simd::kIsa},
+                {"simd_width", simdWidthStr(forcedScalar)},
+            };
+        };
+        json.add("matmul_f_scalar", params(true), samples[0]);
+        json.add("matmul_f_simd", params(false), samples[1]);
+    }
+    t.print();
 }
 
 // ---------------------------------------------------------------------
@@ -921,6 +1007,7 @@ main(int argc, char **argv)
 
     bench::BenchJsonWriter json("micro_substrates");
     runMatmulSimdBench(json);
+    runMatmulFShapeBench(json);
     runAggKernelBench(json);
     runKnnFeatureBench(json);
     runPlanRuntimeBench(json);

@@ -312,8 +312,8 @@ ModuleExecutor::runDelayed(const ModuleState &in,
         Tensor wc(m, h), wd(m, h);
         for (int32_t r = 0; r < m; ++r)
             for (int32_t c = 0; c < h; ++c) {
-                wc(r, c) = l0.weight()(r, c);
-                wd(r, c) = l0.weight()(m + r, c);
+                wc(r, c) = l0.panels().at(r, c);
+                wd(r, c) = l0.panels().at(m + r, c);
             }
         Tensor p = tensor::matmul(in.features, wd); // Nin x H
         Tensor wcd(m, h);

@@ -343,8 +343,8 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                     Tensor wcd(mIn, h);
                     for (int32_t r = 0; r < mIn; ++r)
                         for (int32_t c = 0; c < h; ++c) {
-                            float vc = l0.weight()(r, c);
-                            float vd = l0.weight()(mIn + r, c);
+                            float vc = l0.panels().at(r, c);
+                            float vd = l0.panels().at(mIn + r, c);
                             wd(r, c) = vd;
                             wcd(r, c) = vc - vd;
                         }
@@ -513,7 +513,8 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                     s.desc.out = pft1;
                     s.desc.rows = nIn;
                     s.desc.cols = h1;
-                    s.desc.weightId = b.addWeight(l0.weight());
+                    s.desc.weightId =
+                        b.addWeight(l0.panels().toTensor());
                 }
 
                 int32_t batched = b.make(rows, h1);

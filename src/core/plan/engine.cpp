@@ -17,14 +17,30 @@ ExecutionContext::ExecutionContext(const CompiledEngine &engine)
     : engine_(&engine), arena_(engine.stats().arenaFloats),
       logits_(engine.logitsRows(), engine.logitsCols())
 {
+    // Module state is sized only where some step touches it. Dead-step
+    // elimination can drop every step of a module (F-PointNet's
+    // encoder), and the artifact loader bounds a module's shapes only
+    // through the steps that fill them, so an untouched module's
+    // nOut/k are never trusted with an allocation.
     mods_.resize(engine.modules().size());
-    for (size_t i = 0; i < mods_.size(); ++i) {
-        const PlanModuleInfo &info = engine.modules()[i];
-        mods_[i].centroids.resize(
-            static_cast<size_t>(info.global ? 1 : info.io.nOut));
-        if (!info.global)
-            mods_[i].nitFlat.resize(static_cast<size_t>(info.io.nOut) *
-                                    info.io.k);
+    for (const StepIR &s : engine.steps()) {
+        for (const std::vector<int32_t> *set : {&s.reads, &s.writes}) {
+            for (int32_t id : *set) {
+                if (id > virtCentroids(0))
+                    continue; // arena buffer, logits or the RNG stream
+                size_t i = static_cast<size_t>(-id - 3) / 2;
+                MESO_CHECK(i < mods_.size(), "step '" << s.name
+                                                      << "' names module "
+                                                      << i);
+                const PlanModuleInfo &info = engine.modules()[i];
+                if (id == virtCentroids(i))
+                    mods_[i].centroids.resize(
+                        static_cast<size_t>(info.global ? 1 : info.io.nOut));
+                else if (!info.global)
+                    mods_[i].nitFlat.resize(
+                        static_cast<size_t>(info.io.nOut) * info.io.k);
+            }
+        }
     }
 }
 

@@ -113,14 +113,19 @@ bakeOne(const OpDesc &d, const CompiledEngine &eng)
                        d.weightId <
                            static_cast<int32_t>(eng.weights().size()),
                    "bad weight id " << d.weightId);
-        const tensor::Tensor *w =
-            &eng.weights()[static_cast<size_t>(d.weightId)];
+        // Weight-table matrices (EdgeConv's split W_d and W_c - W_d,
+        // an ltd-delayed module's first layer) stay row-major; their
+        // finiteness is checked here, once per bake.
+        const tensor::Tensor &w =
+            eng.weights()[static_cast<size_t>(d.weightId)];
+        tensor::MatrixView b = tensor::rowMajorView(
+            w, tensor::allFinite(w.data(), w.numel()));
         int32_t in = d.in, out = d.out;
         int64_t ldIn = ldOf(eng, in), ldOut = ldOf(eng, out);
         int32_t rows = static_cast<int32_t>(d.rows);
         return [=](ExecutionContext &ctx) {
-            tensor::matmulInto(ctx.buf(out), ldOut, ctx.buf(in), ldIn,
-                               rows, *w);
+            tensor::matmulIntoParallel(ctx.buf(out), ldOut, ctx.buf(in),
+                                       ldIn, rows, b);
         };
       }
       case OpKind::BiasRelu: {

@@ -1,9 +1,11 @@
 #include "core/plan/serialize.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <utility>
 #include <variant>
 
 #include "common/check.hpp"
@@ -95,6 +97,26 @@ class Writer
         i32(t.rows());
         i32(t.cols());
         raw(t.data(), static_cast<size_t>(t.numel()) * sizeof(float));
+    }
+
+    /** A panel-packed matrix, written row-major: the same bytes
+     *  tensor() writes for the matrix it packs. Each row is gathered
+     *  from its panels into one buffer and appended at once. */
+    void
+    panels(const tensor::PanelMatrix &m)
+    {
+        i32(m.rows());
+        i32(m.cols());
+        tensor::MatrixView v = m.view();
+        std::vector<float> row(static_cast<size_t>(v.cols));
+        for (int32_t k = 0; k < v.rows; ++k) {
+            for (int32_t j0 = 0; j0 < v.cols; j0 += tensor::kPanelWidth)
+                std::copy_n(v.panel(j0 / tensor::kPanelWidth) +
+                                k * v.kStride,
+                            std::min(tensor::kPanelWidth, v.cols - j0),
+                            row.begin() + j0);
+            raw(row.data(), row.size() * sizeof(float));
+        }
     }
 
     // Descriptor field encodings, one per DescField type.
@@ -204,18 +226,21 @@ class Reader
     tensor::Tensor
     tensor(const char *what)
     {
-        int32_t rows = i32();
-        int32_t cols = i32();
-        MESO_REQUIRE_ARTIFACT(rows >= 0 && cols >= 0,
-                              what << " shape " << rows << "x" << cols);
-        uint64_t n = static_cast<uint64_t>(rows) * cols;
-        MESO_REQUIRE_ARTIFACT(n * sizeof(float) <= size_ - pos_,
-                              what << " data " << rows << "x" << cols
-                                  << " exceeds remaining " << (size_ - pos_)
-                                  << " bytes");
-        std::vector<float> data(n);
-        raw(data.data(), n * sizeof(float), what);
+        auto [rows, cols] = matrixShape(what);
+        std::vector<float> data(static_cast<size_t>(rows) * cols);
+        raw(data.data(), data.size() * sizeof(float), what);
         return tensor::Tensor(rows, cols, std::move(data));
+    }
+
+    /** A row-major matrix decoded straight into matmul panels, with no
+     *  row-major copy in between. */
+    tensor::PanelMatrix
+    panels(const char *what)
+    {
+        auto [rows, cols] = matrixShape(what);
+        tensor::PanelMatrix m(rows, cols, data_ + pos_);
+        pos_ += static_cast<size_t>(rows) * cols * sizeof(float);
+        return m;
     }
 
     void get(OpKind &v) { v = static_cast<OpKind>(i32()); }
@@ -230,6 +255,23 @@ class Reader
     size_t pos() const { return pos_; }
 
   private:
+    /** A matrix header (rows, cols), checked against the bytes left
+     *  for its row-major body before anything is allocated. */
+    std::pair<int32_t, int32_t>
+    matrixShape(const char *what)
+    {
+        int32_t rows = i32();
+        int32_t cols = i32();
+        MESO_REQUIRE_ARTIFACT(rows >= 0 && cols >= 0,
+                              what << " shape " << rows << "x" << cols);
+        uint64_t n = static_cast<uint64_t>(rows) * cols;
+        MESO_REQUIRE_ARTIFACT(n * sizeof(float) <= size_ - pos_,
+                              what << " data " << rows << "x" << cols
+                                  << " exceeds remaining " << (size_ - pos_)
+                                  << " bytes");
+        return {rows, cols};
+    }
+
     void
     need(size_t n, const char *what)
     {
@@ -349,7 +391,7 @@ class EngineSerializer
         for (const nn::Mlp &m : e.mlps_)
             for (size_t l = 0; l < m.numLayers(); ++l)
                 paramBytes +=
-                    static_cast<size_t>(m.layer(l).weight().numel() +
+                    static_cast<size_t>(m.layer(l).panels().numel() +
                                         m.layer(l).bias().numel()) *
                     sizeof(float);
         for (const tensor::Tensor &t : e.weights_)
@@ -411,7 +453,7 @@ class EngineSerializer
                 const nn::Linear &l = m.layer(i);
                 w.i32(static_cast<int32_t>(l.activation()));
                 w.u8(l.hasBias() ? 1 : 0);
-                w.tensor(l.weight());
+                w.panels(l.panels());
                 if (l.hasBias())
                     w.tensor(l.bias());
             }
@@ -573,7 +615,7 @@ class EngineSerializer
                         act <= static_cast<int32_t>(nn::Activation::Relu),
                     "bad activation " << act);
                 bool hasBias = r.u8() != 0;
-                tensor::Tensor weight = r.tensor("layer weight");
+                tensor::PanelMatrix weight = r.panels("layer weight");
                 tensor::Tensor bias;
                 if (hasBias) {
                     bias = r.tensor("layer bias");
@@ -581,7 +623,8 @@ class EngineSerializer
                                               bias.cols() == weight.cols(),
                                           "bias shape " << bias.shapeStr()
                                               << " for weight "
-                                              << weight.shapeStr());
+                                              << weight.rows() << "x"
+                                              << weight.cols());
                 }
                 mlp.addLayer(nn::Linear(
                     std::move(weight), std::move(bias),
@@ -706,6 +749,58 @@ class EngineSerializer
                                       << e.offsets_[b] << ", planned at "
                                       << want);
         }
+        checkStats(e, plan);
+    }
+
+    /**
+     * The stored PlanStats against what the decoded engine implies: the
+     * step program and its arena plan fix the post-pass figures, the
+     * pass records fix the counters (their sums), and the pre-pass
+     * figures, which describe a program the artifact does not hold, are
+     * bounded: every pass either removes steps (DCE), merges two into
+     * one (fusion), leaves the count alone (layout) or adds one per
+     * quantized buffer, so the pre-pass program had at most
+     * numSteps + stepsRemoved + fusionsApplied steps.
+     */
+    static void
+    checkStats(const CompiledEngine &e, const ArenaPlanResult &plan)
+    {
+        const PlanStats &st = e.stats_;
+        int64_t removed = 0, fused = 0, layouts = 0, quantized = 0;
+        for (const PassStat &p : e.passStats_) {
+            MESO_REQUIRE_ARTIFACT(p.stepsRemoved >= 0 &&
+                                      p.fusionsApplied >= 0 &&
+                                      p.layoutsChanged >= 0 &&
+                                      p.buffersQuantized >= 0,
+                                  "pass '" << p.pass
+                                      << "' has a negative counter");
+            removed += p.stepsRemoved;
+            fused += p.fusionsApplied;
+            layouts += p.layoutsChanged;
+            quantized += p.buffersQuantized;
+        }
+        MESO_REQUIRE_ARTIFACT(
+            st.numSteps == static_cast<int64_t>(e.steps_.size()) &&
+                st.numBuffers ==
+                    static_cast<int64_t>(plan.planner.numBuffers()) &&
+                st.naiveFloats == plan.planner.naiveFloats(),
+            "stats of " << st.numSteps << " steps, " << st.numBuffers
+                << " buffers, " << st.naiveFloats
+                << " naive floats; the plan has " << e.steps_.size()
+                << ", " << plan.planner.numBuffers() << ", "
+                << plan.planner.naiveFloats());
+        MESO_REQUIRE_ARTIFACT(
+            st.stepsRemoved == removed && st.fusionsApplied == fused &&
+                st.layoutsChanged == layouts &&
+                st.buffersQuantized == quantized,
+            "stats counters differ from the sums of the pass records");
+        MESO_REQUIRE_ARTIFACT(
+            st.arenaFloatsPrePass >= 0 &&
+                st.arenaFloatsPrePass <= (int64_t{1} << 32) &&
+                st.numStepsPrePass >= 0 &&
+                st.numStepsPrePass <= st.numSteps + removed + fused,
+            "pre-pass stats of " << st.numStepsPrePass << " steps, "
+                << st.arenaFloatsPrePass << " arena floats");
     }
 
     /** Check one descriptor against its schema row. */

@@ -9,7 +9,13 @@
  * Format: little-endian, magic "MESO" + format version, then every
  * engine table (modules, buffer shapes, arena offsets, descriptor
  * steps with their read/write sets and root flag, pass stats,
- * MLP/weight parameter tables). OpDesc fields are written as (tag,
+ * MLP/weight parameter tables). Parameters are stored row-major
+ * whatever their in-memory layout: MLP layer weights live as matmul
+ * column panels (tensor/panel_matrix.hpp), save writes each one's
+ * row-major bytes, and load decodes them straight back into panels
+ * with no row-major copy in between, so the artifact bytes do not
+ * depend on the panel width of the build that wrote them.
+ * OpDesc fields are written as (tag,
  * value) pairs with defaults omitted, from one field table in tag order,
  * so the format survives adding descriptor fields without a version
  * bump: old tags keep their meaning, unknown tags are a hard error (they
@@ -29,7 +35,9 @@
  * touched extent against its buffer, table, module state or the
  * logits, dtype rules, the stored read/write sets and root flags
  * against the derived ones, and the stored arena plan against a
- * re-derived one. Failures throw UsageError carrying CorruptArtifact;
+ * re-derived one, and the stored plan statistics against what the
+ * decoded plan and pass records imply. Failures throw UsageError
+ * carrying CorruptArtifact;
  * execution fails only with typed errors from the kernels' own checks
  * (tests/test_engine_serialize.cpp loads truncated and bit-flipped
  * artifacts and executes every one that loads, under ASan+UBSan in CI).

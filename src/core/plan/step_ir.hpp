@@ -89,7 +89,8 @@ enum class OpKind
     /** mlp(mlpId).forwardInto(in, ld(in), rows, out, ld(out),
      *  firstLayer). @p out may be kResLogits (writes ctx.logits_). */
     MlpForward = 1,
-    /** matmulInto(out, ld(out), in, ld(in), rows, weight(weightId)). */
+    /** matmulIntoParallel(out, ld(out), in, ld(in), rows,
+     *  weight(weightId)): row chunks on the pool. */
     Matmul = 2,
     /** biasReluBlockInPlace(out, ld(out), rows, cols, bias(biasId),
      *  relu); biasId < 0 means no bias row. */

@@ -7,6 +7,7 @@
 #include <cstdint>
 
 #include "common/rng.hpp"
+#include "tensor/panel_matrix.hpp"
 #include "tensor/tensor.hpp"
 
 namespace mesorasi::nn {
@@ -20,7 +21,10 @@ enum class Activation
 
 /**
  * y = act(x * W + b). Weights are In x Out; inputs are batched rows
- * (N x In -> N x Out).
+ * (N x In -> N x Out). W is stored once, as matmul column panels
+ * (tensor/panel_matrix.hpp), built straight from its source; its
+ * finiteness is recorded when it is packed, which is why a layer's
+ * parameters are immutable after construction.
  */
 class Linear
 {
@@ -30,7 +34,11 @@ class Linear
            Activation act = Activation::Relu, bool useBias = true);
 
     /** Layer with explicit parameters (bias may be empty for no bias). */
-    Linear(tensor::Tensor weight, tensor::Tensor bias,
+    Linear(tensor::PanelMatrix weight, tensor::Tensor bias,
+           Activation act = Activation::Relu);
+
+    /** Same, packing a row-major weight tensor. */
+    Linear(const tensor::Tensor &weight, tensor::Tensor bias,
            Activation act = Activation::Relu);
 
     /** Forward pass over batched rows. */
@@ -44,10 +52,10 @@ class Linear
     Activation activation() const { return act_; }
     bool hasBias() const { return !bias_.empty(); }
 
-    const tensor::Tensor &weight() const { return weight_; }
+    /** The weight as matmul panels: at(in, out) reads one element,
+     *  view() feeds the kernel. */
+    const tensor::PanelMatrix &panels() const { return weight_; }
     const tensor::Tensor &bias() const { return bias_; }
-    tensor::Tensor &mutableWeight() { return weight_; }
-    tensor::Tensor &mutableBias() { return bias_; }
 
     /** MACs for a batch of @p numRows input rows. */
     int64_t macs(int64_t numRows) const;
@@ -56,7 +64,7 @@ class Linear
     int64_t paramBytes() const;
 
   private:
-    tensor::Tensor weight_;
+    tensor::PanelMatrix weight_;
     tensor::Tensor bias_;
     Activation act_;
 };

@@ -54,7 +54,7 @@ forwardBlockInto(const Linear *layers, size_t numLayers, const float *x,
         float *dst = last ? out : next;
         int64_t dstStride = last ? outStride : layers[l].outDim();
         tensor::matmulInto(dst, dstStride, cur, curStride, rows,
-                           layers[l].weight());
+                           layers[l].panels().view());
         biasActBlock(dst, dstStride, rows, layers[l]);
         cur = dst;
         curStride = dstStride;
@@ -156,7 +156,7 @@ Mlp::forwardFirstLinearOnly(const tensor::Tensor &x) const
     // Matrix product only — bias and activation are deferred so the
     // hoisted computation remains linear (distributes over subtraction
     // exactly).
-    return tensor::matmul(x, layers_[0].weight());
+    return tensor::matmul(x, layers_[0].panels().view());
 }
 
 tensor::Tensor

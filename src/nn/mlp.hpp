@@ -66,7 +66,6 @@ class Mlp
 
     size_t numLayers() const { return layers_.size(); }
     const Linear &layer(size_t i) const { return layers_[i]; }
-    Linear &mutableLayer(size_t i) { return layers_[i]; }
 
     int32_t inDim() const;
     int32_t outDim() const;

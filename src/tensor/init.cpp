@@ -22,6 +22,22 @@ kaimingNormal(Rng &rng, int32_t rows, int32_t cols)
     return t;
 }
 
+PanelMatrix
+xavierUniformPanels(Rng &rng, int32_t rows, int32_t cols)
+{
+    float a = std::sqrt(6.0f / (rows + cols));
+    return PanelMatrix::generate(rows, cols,
+                                 [&] { return rng.uniform(-a, a); });
+}
+
+PanelMatrix
+kaimingNormalPanels(Rng &rng, int32_t rows, int32_t cols)
+{
+    float stddev = std::sqrt(2.0f / rows);
+    return PanelMatrix::generate(
+        rows, cols, [&] { return rng.gaussian(0.0f, stddev); });
+}
+
 Tensor
 uniform(Rng &rng, int32_t rows, int32_t cols, float lo, float hi)
 {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include "common/rng.hpp"
+#include "tensor/panel_matrix.hpp"
 #include "tensor/tensor.hpp"
 
 namespace mesorasi::tensor {
@@ -14,6 +15,13 @@ Tensor xavierUniform(Rng &rng, int32_t rows, int32_t cols);
 
 /** Kaiming/He normal for ReLU layers: N(0, sqrt(2 / fanIn)). */
 Tensor kaimingNormal(Rng &rng, int32_t rows, int32_t cols);
+
+/** xavierUniform drawn straight into matmul panels: the same draws in
+ *  the same order, so the values are bitwise those of xavierUniform. */
+PanelMatrix xavierUniformPanels(Rng &rng, int32_t rows, int32_t cols);
+
+/** kaimingNormal drawn straight into matmul panels (same draws). */
+PanelMatrix kaimingNormalPanels(Rng &rng, int32_t rows, int32_t cols);
 
 /** Uniform in [lo, hi). */
 Tensor uniform(Rng &rng, int32_t rows, int32_t cols, float lo, float hi);

@@ -24,60 +24,65 @@ matmulGrain(int64_t flopsPerRow)
 }
 
 // ---------------------------------------------------------------------
-// Matmul row kernels.
+// Matmul kernels: one scalar oracle and one SIMD kernel, both reading B
+// through a MatrixView (row-major or column panels).
 //
-// Both implementations accumulate every output element c[r][j] as
-// sum_k a[r][k] * b[k][j] in ascending-k order with mul+add (no FMA)
-// from a +0.0f seed, skipping k where a[r][k] == 0 — so the vector
-// path is bitwise identical to the scalar path: vector lanes across j
-// are independent elements, and register blocking across rows shares
-// only the b-row loads, never the per-element accumulation.
+// Both accumulate every output element c[r][j] as sum_k a[r][k] *
+// b[k][j] in ascending-k order with mul+add (no FMA) from a +0.0f seed.
+// The oracle skips every k where a[r][k] == 0. The SIMD kernel keeps
+// that skip on single-row tiles and whenever B may hold a non-finite
+// value; its multi-row tiles over a finite B add the product instead.
+// That is exact: under round-to-nearest a sum seeded with +0 can never
+// become -0, so adding 0 * w = +-0 for a finite w leaves every
+// accumulator bit unchanged, NaN and +-Inf included. A non-finite w
+// would make 0 * w NaN, hence the skip there. Vector lanes across j
+// are independent elements and register blocking across rows shares
+// only the B loads, so the kernel is bitwise identical to the oracle.
 // ---------------------------------------------------------------------
 
-/** Scalar reference kernel: crow must be zeroed. kj loop order streams
- *  through b and c rows contiguously; the zero skip makes ReLU-sparse
- *  activations cheap. */
+/** Scalar oracle: crow must be zeroed. Panel by panel, so a packed B
+ *  streams each panel contiguously instead of touching every panel
+ *  once per k; the zero skip makes ReLU-sparse activations cheap. */
 inline void
-matmulRowScalar(float *crow, const float *arow, const Tensor &b)
+matmulRowScalar(float *crow, const float *arow, const MatrixView &b)
 {
-    for (int32_t k = 0; k < b.rows(); ++k) {
-        float av = arow[k];
-        if (av == 0.0f)
-            continue;
-        const float *brow = b.row(k);
-        for (int32_t j = 0; j < b.cols(); ++j)
-            crow[j] += av * brow[j];
+    for (int32_t j0 = 0; j0 < b.cols; j0 += kPanelWidth) {
+        const float *panel = b.panel(j0 / kPanelWidth);
+        const int32_t width = std::min(kPanelWidth, b.cols - j0);
+        for (int32_t k = 0; k < b.rows; ++k) {
+            float av = arow[k];
+            if (av == 0.0f)
+                continue;
+            const float *brow = panel + k * b.kStride;
+            for (int32_t j = 0; j < width; ++j)
+                crow[j0 + j] += av * brow[j];
+        }
     }
 }
 
 /**
- * Inner j-tile of the vector kernel: TJ vectors wide over R output
- * rows, accumulators held in registers across the whole k loop (the
- * scalar path instead re-loads and re-stores the output row on every k
- * iteration), with each b-row tile load shared by all R rows. The
- * production shape is R=2 x TJ=4: 8 accumulators + 4 b-row registers
- * live, which fits the 16-register file of both SSE2 and AVX2 without
- * spills.
+ * One register tile: R rows x TJ vectors of one panel, accumulated in
+ * registers over all of K, each B load shared by the R rows. @p Skip
+ * keeps the per-row zero test. R=2 x TJ=4 holds 8 accumulators and 4 B
+ * vectors, which fits the 16 vector registers of SSE2 and AVX2.
  */
-template <int R, int TJ>
+template <int R, int TJ, bool Skip>
 inline void
-matmulTile(float *const crow[R], const float *const arow[R], int32_t j,
-           const Tensor &b)
+panelTile(float *const crow[R], const float *const arow[R],
+          const float *b, int64_t kStride, int32_t K)
 {
     constexpr int W = simd::kWidth;
-    const int32_t K = b.rows();
     VecF acc[R][TJ];
     for (int r = 0; r < R; ++r)
         for (int t = 0; t < TJ; ++t)
             acc[r][t] = VecF::zero();
-    for (int32_t k = 0; k < K; ++k) {
-        const float *brow = b.row(k) + j;
+    for (int32_t k = 0; k < K; ++k, b += kStride) {
         VecF bv[TJ];
         for (int t = 0; t < TJ; ++t)
-            bv[t] = VecF::load(brow + t * W);
+            bv[t] = VecF::load(b + t * W);
         for (int r = 0; r < R; ++r) {
             float av = arow[r][k];
-            if (av == 0.0f)
+            if (Skip && av == 0.0f)
                 continue;
             VecF v = VecF::broadcast(av);
             for (int t = 0; t < TJ; ++t)
@@ -86,70 +91,98 @@ matmulTile(float *const crow[R], const float *const arow[R], int32_t j,
     }
     for (int r = 0; r < R; ++r)
         for (int t = 0; t < TJ; ++t)
-            acc[r][t].store(crow[r] + j + t * W);
+            acc[r][t].store(crow[r] + t * W);
 }
 
-/** Vector kernel over R output rows at once: wide 4-vector j-tiles,
- *  then narrower 1-vector tiles, then a scalar column tail (same
- *  per-element mul+add sequence, so still bitwise identical). */
-template <int R>
+/** R rows against the panel holding columns [j0, j0 + P): one full
+ *  4-vector tile, or on a narrower last panel 1-vector tiles and then
+ *  a scalar column tail (same per-element mul+add sequence). */
+template <int R, bool Skip>
 inline void
-matmulRowsSimd(float *dst, int64_t dstStride, const float *a,
-               int64_t aStride, const Tensor &b)
+panelRows(float *dst, int64_t dstStride, const float *a, int64_t aStride,
+          const MatrixView &b, int32_t j0)
 {
     constexpr int W = simd::kWidth;
-    const int32_t K = b.rows();
-    const int32_t M = b.cols();
     const float *arow[R];
     float *crow[R];
     for (int r = 0; r < R; ++r) {
         arow[r] = a + static_cast<int64_t>(r) * aStride;
-        crow[r] = dst + static_cast<int64_t>(r) * dstStride;
+        crow[r] = dst + static_cast<int64_t>(r) * dstStride + j0;
     }
-
+    const float *panel = b.panel(j0 / kPanelWidth);
+    const int32_t width = std::min(kPanelWidth, b.cols - j0);
+    if (width == kPanelWidth) {
+        panelTile<R, 4, Skip>(crow, arow, panel, b.kStride, b.rows);
+        return;
+    }
     int32_t j = 0;
-    for (; j + 4 * W <= M; j += 4 * W)
-        matmulTile<R, 4>(crow, arow, j, b);
-    for (; j + W <= M; j += W)
-        matmulTile<R, 1>(crow, arow, j, b);
-    for (; j < M; ++j) {
+    for (; j + W <= width; j += W) {
+        float *c[R];
+        for (int r = 0; r < R; ++r)
+            c[r] = crow[r] + j;
+        panelTile<R, 1, Skip>(c, arow, panel + j, b.kStride, b.rows);
+    }
+    for (; j < width; ++j) {
         for (int r = 0; r < R; ++r) {
             float acc = 0.0f;
-            for (int32_t k = 0; k < K; ++k) {
+            for (int32_t k = 0; k < b.rows; ++k) {
                 float av = arow[r][k];
                 if (av == 0.0f)
                     continue;
-                acc += av * b.row(k)[j];
+                acc += av * panel[k * b.kStride + j];
             }
             crow[r][j] = acc;
         }
     }
 }
 
-/** Shared strided-block matmul body of matmul()/matmulInto():
- *  width-dispatched between the register-blocked vector kernel and the
- *  scalar reference row kernel. */
+/**
+ * SIMD body. The loop order goes with the tiles. Branchless tiles (a
+ * finite B) run panel-outer: each panel stays cache-resident while
+ * every row pair of the block runs against it, so B streams in once.
+ * Skipping tiles run row-outer, as the pre-packing kernel did: a row
+ * pair's zero pattern then replays across every panel, which the branch
+ * predictor learns; panel-outer, the same skip ran about 2x slower. A
+ * leftover odd row takes a 1-row skipping tile either way.
+ */
+void
+matmulRowsSimd(float *dst, int64_t dstStride, const float *a,
+               int64_t aStride, int32_t rows, const MatrixView &b)
+{
+    auto tile = [&](int32_t r, int32_t j0) {
+        float *d = dst + static_cast<int64_t>(r) * dstStride;
+        const float *s = a + static_cast<int64_t>(r) * aStride;
+        if (r + 1 == rows)
+            panelRows<1, true>(d, dstStride, s, aStride, b, j0);
+        else if (b.finite)
+            panelRows<2, false>(d, dstStride, s, aStride, b, j0);
+        else
+            panelRows<2, true>(d, dstStride, s, aStride, b, j0);
+    };
+    if (b.finite) {
+        for (int32_t j0 = 0; j0 < b.cols; j0 += kPanelWidth)
+            for (int32_t r = 0; r < rows; r += 2)
+                tile(r, j0);
+    } else {
+        for (int32_t r = 0; r < rows; r += 2)
+            for (int32_t j0 = 0; j0 < b.cols; j0 += kPanelWidth)
+                tile(r, j0);
+    }
+}
+
+/** Shared strided-block body of every matmul entry point:
+ *  width-dispatched between the SIMD kernel and the scalar oracle. */
 void
 matmulRowsInto(float *dst, int64_t dstStride, const float *a,
-               int64_t aStride, int32_t rows, const Tensor &b)
+               int64_t aStride, int32_t rows, const MatrixView &b)
 {
     if (simd::enabled()) {
-        int32_t r = 0;
-        for (; r + 2 <= rows; r += 2)
-            matmulRowsSimd<2>(dst + static_cast<int64_t>(r) * dstStride,
-                              dstStride,
-                              a + static_cast<int64_t>(r) * aStride,
-                              aStride, b);
-        for (; r < rows; ++r)
-            matmulRowsSimd<1>(dst + static_cast<int64_t>(r) * dstStride,
-                              dstStride,
-                              a + static_cast<int64_t>(r) * aStride,
-                              aStride, b);
+        matmulRowsSimd(dst, dstStride, a, aStride, rows, b);
         return;
     }
     for (int32_t r = 0; r < rows; ++r) {
         float *crow = dst + static_cast<int64_t>(r) * dstStride;
-        std::fill(crow, crow + b.cols(), 0.0f);
+        std::fill(crow, crow + b.cols, 0.0f);
         matmulRowScalar(crow, a + static_cast<int64_t>(r) * aStride, b);
     }
 }
@@ -192,35 +225,60 @@ maxIntoRow(float *dst, const float *src, int32_t cols)
 } // namespace
 
 Tensor
+matmul(const Tensor &a, const MatrixView &b)
+{
+    MESO_REQUIRE(a.cols() == b.rows, "matmul " << a.shapeStr() << " * "
+                                               << b.rows << "x" << b.cols);
+    Tensor c(a.rows(), b.cols);
+    matmulIntoParallel(c.data(), c.cols(), a.data(), a.cols(), a.rows(), b);
+    return c;
+}
+
+Tensor
 matmul(const Tensor &a, const Tensor &b)
 {
-    MESO_REQUIRE(a.cols() == b.rows(), "matmul " << a.shapeStr() << " * "
-                                                 << b.shapeStr());
-    Tensor c(a.rows(), b.cols());
-    // Output rows are independent, so the row loop parallelizes with
-    // bitwise-identical results to the serial execution.
-    ThreadPool::global().parallelFor(
-        a.rows(),
-        matmulGrain(static_cast<int64_t>(a.cols()) * b.cols()),
-        [&](int64_t begin, int64_t end) {
-            matmulRowsInto(c.row(static_cast<int32_t>(begin)), c.cols(),
-                           a.row(static_cast<int32_t>(begin)), a.cols(),
-                           static_cast<int32_t>(end - begin), b);
-        });
-    return c;
+    return matmul(a, rowMajorView(b, /*finite=*/false));
+}
+
+void
+matmulInto(float *dst, int64_t dstStride, const float *a, int64_t aStride,
+           int32_t rows, const MatrixView &b)
+{
+    MESO_REQUIRE(dstStride >= b.cols && aStride >= b.rows,
+                 "matmulInto strides " << dstStride << "/" << aStride
+                                       << " for " << b.rows << "x"
+                                       << b.cols);
+    // Serial over the block: this kernel is the body of already
+    // parallelized row-chunk loops (nn::Mlp::forward), so it must not
+    // allocate or spawn.
+    matmulRowsInto(dst, dstStride, a, aStride, rows, b);
 }
 
 void
 matmulInto(float *dst, int64_t dstStride, const float *a, int64_t aStride,
            int32_t rows, const Tensor &b)
 {
-    MESO_REQUIRE(dstStride >= b.cols() && aStride >= b.rows(),
-                 "matmulInto strides " << dstStride << "/" << aStride
-                                       << " for " << b.shapeStr());
-    // Serial over the block: this kernel is the body of already
-    // parallelized row-chunk loops (nn::Mlp::forward), so it must not
-    // allocate or spawn.
-    matmulRowsInto(dst, dstStride, a, aStride, rows, b);
+    matmulInto(dst, dstStride, a, aStride, rows,
+               rowMajorView(b, /*finite=*/false));
+}
+
+void
+matmulIntoParallel(float *dst, int64_t dstStride, const float *a,
+                   int64_t aStride, int32_t rows, const MatrixView &b)
+{
+    MESO_REQUIRE(dstStride >= b.cols && aStride >= b.rows,
+                 "matmulIntoParallel strides " << dstStride << "/"
+                                               << aStride << " for "
+                                               << b.rows << "x" << b.cols);
+    // Output rows are independent, so the row loop parallelizes with
+    // bitwise-identical results to the serial execution.
+    ThreadPool::global().parallelFor(
+        rows, matmulGrain(static_cast<int64_t>(b.rows) * b.cols),
+        [&](int64_t begin, int64_t end) {
+            matmulRowsInto(dst + begin * dstStride, dstStride,
+                           a + begin * aStride, aStride,
+                           static_cast<int32_t>(end - begin), b);
+        });
 }
 
 void

@@ -11,11 +11,17 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/panel_matrix.hpp"
 #include "tensor/tensor.hpp"
 
 namespace mesorasi::tensor {
 
-/** C = A (n x k) * B (k x m). */
+/** C = A (n x k) * B (k x m), output rows split over the global pool.
+ *  B may be row-major or column panels (MatrixView). */
+Tensor matmul(const Tensor &a, const MatrixView &b);
+
+/** matmul over a row-major B. A Tensor carries no finiteness record,
+ *  so every tile keeps the zero skip (see matmulInto). */
 Tensor matmul(const Tensor &a, const Tensor &b);
 
 /** Add a 1 x C bias row to every row of @p x in place. */
@@ -99,13 +105,40 @@ void gatherMaxReduceInto(float *dst, const float *src, int64_t stride,
 /**
  * Strided-block matrix product into caller-owned memory:
  * for r in [0, rows): dst[r*dstStride .. +b.cols) =
- *   a[r*aStride .. +b.rows) * B.
- * The destination block is zeroed first; strides are in floats and must
- * be >= the respective logical widths. Bitwise equal to matmul() over
- * the same rows (shared row kernel).
+ *   a[r*aStride .. +b.rows) * B, with B read through @p b.
+ * The destination block is fully overwritten; strides are in floats and
+ * must be >= the respective logical widths. Serial: it is the body of
+ * already parallelized row-chunk loops, and allocates nothing.
+ *
+ * Kernel contract. There is one SIMD kernel and one scalar oracle (the
+ * forced-scalar path), and they are bitwise identical. Both sum every
+ * output element over ascending k with mul then add, from +0. The
+ * oracle skips k where a[r][k] == 0. The SIMD kernel works in 2-row x
+ * 4-vector register tiles, one column panel wide. When @p b is finite
+ * those tiles drop the zero skip and run panel-outer, so each panel
+ * stays cache-resident while every row pair runs against it. Dropping
+ * the skip is exact: a sum seeded with +0 never becomes -0 under
+ * round-to-nearest, so adding 0 * w = +-0 for a finite w changes no
+ * accumulator bit. Single-row tiles, scalar column tails and every
+ * tile of a non-finite view keep the skip, so 0 * Inf and 0 * NaN
+ * never enter a sum in either path; a non-finite view runs row-outer,
+ * where a row pair's zero pattern repeats across the panels and the
+ * branch predictor learns it.
  */
 void matmulInto(float *dst, int64_t dstStride, const float *a,
+                int64_t aStride, int32_t rows, const MatrixView &b);
+
+/** matmulInto over a row-major B, with the zero skip on every tile. */
+void matmulInto(float *dst, int64_t dstStride, const float *a,
                 int64_t aStride, int32_t rows, const Tensor &b);
+
+/** matmulInto with the output rows split into chunks on the global pool,
+ *  at the grain matmul() uses (about 1M MACs per chunk, so small
+ *  products stay inline). Bitwise equal to matmulInto; allocates nothing
+ *  when it runs inline. */
+void matmulIntoParallel(float *dst, int64_t dstStride, const float *a,
+                        int64_t aStride, int32_t rows,
+                        const MatrixView &b);
 
 /**
  * Fused bias + ReLU epilogue over a strided row block, in place:

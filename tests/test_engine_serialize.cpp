@@ -8,7 +8,9 @@
  *     with the optimizer pass pipeline on AND off, and over the
  *     concat-head / interp-decoder / detection network shapes.
  *  2. Determinism of the bytes themselves: re-serializing yields the
- *     identical artifact, and serializedEngineSize matches it.
+ *     identical artifact, and serializedEngineSize matches it; every zoo
+ *     network x pipeline saves to pinned bytes (FNV-1a digests), so the
+ *     row-major weight codec over matmul panels cannot drift.
  *  3. Concurrency: several ExecutionContexts execute one loaded
  *     CompiledEngine from parallel threads with bitwise-deterministic
  *     results.
@@ -18,7 +20,9 @@
  *     an engine that then executes once cleanly or with a typed error
  *     — never UB. The loader re-derives each step's read/write sets
  *     from the op schema and rejects stored sets that differ, and
- *     rejects the retired op kind 7. The CI sanitize job runs this
+ *     rejects the retired op kind 7 and stored plan statistics that
+ *     differ from the decoded plan. A module no step touches gets no
+ *     context state, whatever its stored shapes. The CI sanitize job runs this
  *     suite under ASan/UBSan, which is what turns "never UB" from a
  *     comment into a checked property.
  *
@@ -454,6 +458,75 @@ TEST(EngineSerialize, SerializationIsDeterministic)
     EXPECT_EQ(saveEngineToBytes(loaded), a);
 }
 
+/** FNV-1a 64 over @p bytes. */
+uint64_t
+fnv1a(const std::vector<uint8_t> &bytes)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (uint8_t b : bytes) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(EngineSerialize, ZooArtifactsKeepTheirPinnedBytes)
+{
+    // Every zoo network x pipeline (weight seed 3, passes on), pinned
+    // from the row-major weight storage that preceded matmul panels.
+    // Layer weights now live as panels, and save must still write the
+    // row-major bytes of the matrix each panel set packs; a loaded
+    // engine must re-save them unchanged.
+    struct Pin
+    {
+        const char *net;
+        PipelineKind kind;
+        size_t size;
+        uint64_t fnv;
+    };
+    const Pin pins[] = {
+        {"PointNet++ (c)", PipelineKind::Original, 5873905, 0xa4fc7d6368080095ull},
+        {"PointNet++ (c)", PipelineKind::Delayed, 5873740, 0x47b6bfa140a46832ull},
+        {"PointNet++ (c)", PipelineKind::LtdDelayed, 5941311, 0xe96cae19f7d363f2ull},
+        {"PointNet++ (s)", PipelineKind::Original, 5601835, 0x9640a123eb8aa296ull},
+        {"PointNet++ (s)", PipelineKind::Delayed, 5601670, 0xefd10dc899646882ull},
+        {"PointNet++ (s)", PipelineKind::LtdDelayed, 5669241, 0xd87354d357299bd8ull},
+        {"DGCNN (c)", PipelineKind::Original, 5134227, 0x950f590e758535baull},
+        {"DGCNN (c)", PipelineKind::Delayed, 5134546, 0x7ba266816a68fcfaull},
+        {"DGCNN (c)", PipelineKind::LtdDelayed, 5134546, 0x002a90661e574635ull},
+        {"DGCNN (s)", PipelineKind::Original, 2527938, 0x22721b7244937889ull},
+        {"DGCNN (s)", PipelineKind::Delayed, 2528171, 0x4f33fb12646b1534ull},
+        {"DGCNN (s)", PipelineKind::LtdDelayed, 2528171, 0xb34e0d0142a78c51ull},
+        {"F-PointNet", PipelineKind::Original, 7279902, 0x5ddb54e82b835ed6ull},
+        {"F-PointNet", PipelineKind::Delayed, 7279854, 0x3bdbf6912929dd01ull},
+        {"F-PointNet", PipelineKind::LtdDelayed, 7347054, 0x95fa001f01a9a252ull},
+        {"LDGCNN", PipelineKind::Original, 4288045, 0x079a93a9e901f2d7ull},
+        {"LDGCNN", PipelineKind::Delayed, 4288302, 0x5743d1b565e05d9bull},
+        {"LDGCNN", PipelineKind::LtdDelayed, 4288302, 0xc525a4d4e118594cull},
+        {"DensePoint", PipelineKind::Original, 1069678, 0x51f20293254da40cull},
+        {"DensePoint", PipelineKind::Delayed, 1069215, 0x66c72110e5aaeaa9ull},
+        {"DensePoint", PipelineKind::LtdDelayed, 1070084, 0xace1c65258347eb9ull},
+    };
+    std::vector<NetworkConfig> nets = zoo::allNetworks();
+    ASSERT_EQ(std::size(pins), 3 * nets.size());
+    for (const NetworkConfig &cfg : nets) {
+        NetworkExecutor exec(cfg, /*weightSeed=*/3);
+        for (const Pin &pin : pins) {
+            if (cfg.name != pin.net)
+                continue;
+            std::string what = cfg.name + "/" + pipelineName(pin.kind);
+            std::vector<uint8_t> bytes = saveEngineToBytes(
+                PlanCompiler::compile(exec, pin.kind,
+                                      withPasses(PassOptions::Enable::On)));
+            EXPECT_EQ(bytes.size(), pin.size) << what;
+            EXPECT_EQ(fnv1a(bytes), pin.fnv) << what;
+            CompiledEngine loaded =
+                loadEngineFromBytes(bytes.data(), bytes.size());
+            EXPECT_EQ(saveEngineToBytes(loaded), bytes) << what << " re-save";
+        }
+    }
+}
+
 // --- Concurrency on a loaded engine -----------------------------------
 
 TEST(EngineSerialize, ConcurrentContextsOnLoadedEngine)
@@ -697,6 +770,113 @@ TEST(EngineSerialize, RejectsStoredAccessSetsThatDifferFromTheSchema)
     m = good;
     m[st.root] ^= 1;
     expectCorrupt(m, kSets, "sa1.search root set");
+}
+
+TEST(EngineSerialize, RejectsStatsThatDifferFromTheDecodedPlan)
+{
+    NetworkExecutor exec(tinyNet(), 3);
+    CompiledEngine eng = PlanCompiler::compile(
+        exec, PipelineKind::Delayed, withPasses(PassOptions::Enable::On));
+    const std::vector<uint8_t> good = saveEngineToBytes(eng);
+    const PlanStats &st = eng.stats();
+
+    // An fp32 artifact ends with the stats block: arenaFloats,
+    // naiveFloats (i64), numSteps, numBuffers (i32),
+    // arenaFloatsPrePass (i64), numStepsPrePass, stepsRemoved,
+    // fusionsApplied, layoutsChanged (i32).
+    const size_t at = good.size() - 48;
+    const size_t naive = at + 8, steps = at + 16, bufs = at + 20;
+    const size_t prePassArena = at + 24, prePassSteps = at + 32;
+    ASSERT_EQ(readI32(good, steps), st.numSteps);
+    ASSERT_EQ(readI32(good, bufs), st.numBuffers);
+
+    // One bit flip of numSteps (9 -> 1048585) used to load, and dump()
+    // then reported a million-step plan.
+    std::vector<uint8_t> m = good;
+    m[steps + 2] ^= 0x10;
+    ASSERT_EQ(readI32(m, steps), 1048585);
+    expectCorrupt(m, "stats of", "numSteps 1048585");
+
+    // Each re-derived figure, one off.
+    for (size_t field : {naive, bufs}) {
+        m = good;
+        writeI32(m, field, readI32(m, field) + 1);
+        expectCorrupt(m, "stats of", "field at " + std::to_string(field));
+    }
+    for (size_t field : {at + 36, at + 40, at + 44}) {
+        m = good;
+        writeI32(m, field, readI32(m, field) + 1);
+        expectCorrupt(m, "differ from the sums of the pass records",
+                      "pass counter at " + std::to_string(field));
+    }
+
+    // The pre-pass figures describe a program the artifact does not
+    // hold, so they are bounded rather than re-derived.
+    int32_t maxPrePass = st.numSteps + st.stepsRemoved + st.fusionsApplied;
+    ASSERT_LE(st.numStepsPrePass, maxPrePass);
+    for (int32_t bad : {-1, maxPrePass + 1}) {
+        m = good;
+        writeI32(m, prePassSteps, bad);
+        expectCorrupt(m, "pre-pass", "numStepsPrePass " + std::to_string(bad));
+    }
+    for (int64_t bad : {int64_t{-1}, (int64_t{1} << 32) + 1}) {
+        m = good;
+        std::memcpy(m.data() + prePassArena, &bad, sizeof bad);
+        expectCorrupt(m, "pre-pass",
+                      "arenaFloatsPrePass " + std::to_string(bad));
+    }
+}
+
+TEST(EngineSerialize, DeadModulesGetNoContextState)
+{
+    // miniDetNet's stage 2 never reads its encoder, so with passes on
+    // dead-step elimination drops every step of sa1 and sa2, and the
+    // loader cannot bound their shapes through the steps that fill
+    // them. One bit flip of sa1's k (8 -> 16777224) used to load and
+    // then size a 2 GiB NIT in every context.
+    NetworkConfig cfg = miniDetNet();
+    NetworkExecutor exec(cfg, 3);
+    CompiledEngine eng = PlanCompiler::compile(
+        exec, PipelineKind::Delayed, withPasses(PassOptions::Enable::On));
+    std::vector<uint8_t> m = saveEngineToBytes(eng);
+
+    // A module record opens with its name twice (module, then io), then
+    // nIn, mIn, nOut, mOut, k.
+    std::vector<uint8_t> key;
+    for (int rep = 0; rep < 2; ++rep) {
+        const uint8_t name[] = {3, 0, 0, 0, 's', 'a', '1'};
+        key.insert(key.end(), std::begin(name), std::end(name));
+    }
+    auto it = std::search(m.begin(), m.end(), key.begin(), key.end());
+    ASSERT_NE(it, m.end());
+    size_t k = static_cast<size_t>(it - m.begin()) + key.size() + 4 * 4;
+    ASSERT_EQ(readI32(m, k), 8);
+    m[k + 3] ^= 0x01;
+    ASSERT_EQ(readI32(m, k), 16777224);
+
+    Expected<CompiledEngine> got =
+        tryLoadEngineFromBytes(m.data(), m.size());
+    if (!got.hasValue()) {
+        EXPECT_EQ(got.status().code(), StatusCode::CorruptArtifact)
+            << got.status().toString();
+        return;
+    }
+    const CompiledEngine &loaded = got.value();
+    ASSERT_EQ(loaded.modules().at(0).io.k, 16777224);
+    auto ctx = loaded.makeContext();
+    for (const StepIR &s : loaded.steps())
+        for (const std::vector<int32_t> *set : {&s.reads, &s.writes})
+            for (int32_t id : *set)
+                ASSERT_GT(id, virtCentroids(0))
+                    << s.name << " touches encoder module state";
+    for (const PlanModuleCtx &mod : ctx->mods_) {
+        EXPECT_EQ(mod.centroids.capacity(), 0u);
+        EXPECT_EQ(mod.nitFlat.capacity(), 0u);
+    }
+    PointCloud cloud = cloudFor(cfg);
+    auto fctx = eng.makeContext();
+    expectBitwise(loaded.execute(cloud, 1, *ctx),
+                  eng.execute(cloud, 1, *fctx), "mangled dead module");
 }
 
 TEST(EngineSerialize, RejectsRetiredOpKind)

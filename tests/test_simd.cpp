@@ -9,9 +9,11 @@
  * the same computation twice, once with simd::setForceScalar(true) and
  * once with the vector path, and memcmp's the outputs:
  *
- *  - matmul / matmulInto across odd (non-multiple-of-lane) column
- *    counts, row-block remainders, sparse inputs (the zero-skip), and
- *    non-finite values in B;
+ *  - matmul / matmulInto over both B views (row-major and column
+ *    panels) across odd (non-multiple-of-lane) column counts, odd K,
+ *    row-tile remainders, strided A and dst, sparse inputs holding +0
+ *    and -0 (the zero skip, and the finite-B tiles that drop it),
+ *    products that underflow to -0, and non-finite values in B;
  *  - max-reduce / gather-max-reduce including NaN propagation from the
  *    first gathered row and NaN-dropping from later rows;
  *  - bias / ReLU / batchnorm / subtract epilogues including NaN and
@@ -31,6 +33,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -87,72 +90,148 @@ sprinkleZeros(Tensor &t, uint64_t seed, double frac = 0.3)
 
 // --- Matmul ------------------------------------------------------------
 
-TEST(SimdParity, MatmulAcrossShapes)
+/** The two views the kernel reads B through: row-major (with B's
+ *  finiteness, as an engine bake records it) and packed column panels. */
+struct BViews
 {
-    // Odd column counts cover every vector-tile tail (4W, W, scalar);
-    // odd row counts cover the row-block remainder.
-    const int32_t colCases[] = {1, 3, 5, 8, 17, 31, 32, 33, 127, 128};
-    const int32_t rowCases[] = {1, 2, 3, 7, 64};
+    tensor::PanelMatrix packed;
+    tensor::MatrixView rowMajor;
+    tensor::MatrixView panels;
+
+    explicit BViews(const Tensor &b)
+        : packed(b),
+          rowMajor(tensor::rowMajorView(
+              b, tensor::allFinite(b.data(), b.numel()))),
+          panels(packed.view())
+    {
+    }
+};
+
+/** dst = a * b over strided blocks, forced scalar (the oracle) and with
+ *  the SIMD kernel; memcmp of the whole strided destinations, padding
+ *  included. */
+void
+expectMatmulParity(const Tensor &a, const tensor::MatrixView &b,
+                   const std::string &what)
+{
+    const int32_t rows = a.rows();
+    const int64_t aStride = a.cols() + 3;
+    const int64_t dstStride = b.cols + 5;
+    std::vector<float> as(static_cast<size_t>(rows) * aStride, 7.0f);
+    for (int32_t r = 0; r < rows; ++r)
+        std::memcpy(&as[static_cast<size_t>(r * aStride)], a.row(r),
+                    static_cast<size_t>(a.cols()) * sizeof(float));
+    std::vector<float> scalar(static_cast<size_t>(rows) * dstStride,
+                              -5.0f);
+    std::vector<float> simdOut = scalar;
+    {
+        ScalarGuard g(true);
+        tensor::matmulInto(scalar.data(), dstStride, as.data(), aStride,
+                           rows, b);
+    }
+    tensor::matmulInto(simdOut.data(), dstStride, as.data(), aStride, rows,
+                       b);
+    EXPECT_EQ(std::memcmp(scalar.data(), simdOut.data(),
+                          scalar.size() * sizeof(float)),
+              0)
+        << what;
+}
+
+TEST(SimdParity, MatmulAcrossShapesAndViews)
+{
+    // Odd column counts cover every panel tail (full panel, 1-vector
+    // tiles, scalar columns) at both lane widths; the row counts cover
+    // the 2-row tile remainder; K is odd.
+    const int32_t colCases[] = {1, 3, 5, 8, 17, 31, 32, 33, 40, 127, 128};
+    const int32_t rowCases[] = {1, 2, 3, 5, 7, 64};
     uint64_t seed = 100;
     for (int32_t m : colCases) {
         for (int32_t n : rowCases) {
-            int32_t k = 24;
+            int32_t k = 23;
             Tensor a = randomTensor(seed++, n, k);
             Tensor b = randomTensor(seed++, k, m);
             sprinkleZeros(a, seed++);
-
+            std::string what = std::to_string(n) + "x" + std::to_string(k) +
+                               " * " + std::to_string(k) + "x" +
+                               std::to_string(m);
+            BViews v(b);
+            ASSERT_TRUE(v.rowMajor.finite && v.panels.finite);
+            expectMatmulParity(a, v.rowMajor, what + " row-major");
+            expectMatmulParity(a, v.panels, what + " panels");
+            // The Tensor overloads (zero skip on every tile) agree too.
             Tensor scalar, simdOut;
             {
                 ScalarGuard g(true);
                 scalar = tensor::matmul(a, b);
             }
             simdOut = tensor::matmul(a, b);
-            EXPECT_TRUE(bitwiseEqual(scalar, simdOut))
-                << n << "x" << k << " * " << k << "x" << m;
+            EXPECT_TRUE(bitwiseEqual(scalar, simdOut)) << what;
+            EXPECT_TRUE(bitwiseEqual(simdOut, tensor::matmul(a, v.panels)))
+                << what;
         }
     }
 }
 
+TEST(SimdParity, MatmulSignedZerosAndUnderflow)
+{
+    // The finite-B tiles add a * w where the oracle skips a == 0: the
+    // sum must stay bitwise the same for +0 and -0 activations, rows
+    // that are entirely zero (the result must be +0, never -0), and
+    // products that underflow to -0 (1e-30 * -1e-30).
+    const int32_t k = 21, m = 37, n = 6;
+    Tensor a = randomTensor(7, n, k);
+    Tensor b = randomTensor(8, k, m);
+    for (int32_t c = 0; c < k; ++c) {
+        a(0, c) = 0.0f;
+        a(1, c) = -0.0f;
+        a(2, c) = (c % 2) ? 0.0f : -0.0f;
+        a(3, c) = 1e-30f;
+        a(4, c) = (c % 3 == 0) ? -0.0f : a(4, c);
+    }
+    for (int32_t j = 0; j < m; ++j)
+        b(0, j) = (j % 2) ? -1e-30f : 1e-30f;
+    BViews v(b);
+    expectMatmulParity(a, v.rowMajor, "row-major");
+    expectMatmulParity(a, v.panels, "panels");
+    Tensor c = tensor::matmul(a, v.panels);
+    for (int32_t j = 0; j < m; ++j)
+        for (int32_t r : {0, 1, 2})
+            EXPECT_FALSE(std::signbit(c(r, j))) << r << "," << j;
+}
+
 TEST(SimdParity, MatmulWithNonFiniteWeights)
 {
-    // The zero-skip makes 0 * inf and 0 * NaN visible: skipping adds
-    // nothing where a naive multiply would add NaN. Both paths must
-    // skip identically.
+    // The zero skip makes 0 * inf and 0 * NaN visible: skipping adds
+    // nothing where a naive multiply would add NaN. A B holding +Inf,
+    // -Inf or NaN is recorded non-finite when it is packed, so every
+    // tile keeps the skip and both paths stay identical.
     Tensor a = randomTensor(1, 9, 12);
     Tensor b = randomTensor(2, 12, 21);
-    a(0, 3) = 0.0f;
+    for (int32_t r = 0; r < a.rows(); ++r)
+        a(r, 3) = 0.0f;
     a(4, 7) = 0.0f;
     b(3, 5) = kInf;
     b(7, 2) = kNan;
     b(3, 20) = -kInf;
+
+    BViews v(b);
+    EXPECT_FALSE(v.packed.finite());
+    EXPECT_FALSE(v.rowMajor.finite);
+    expectMatmulParity(a, v.rowMajor, "row-major");
+    expectMatmulParity(a, v.panels, "panels");
 
     Tensor scalar, simdOut;
     {
         ScalarGuard g(true);
         scalar = tensor::matmul(a, b);
     }
-    simdOut = tensor::matmul(a, b);
+    simdOut = tensor::matmul(a, v.panels);
     EXPECT_TRUE(bitwiseEqual(scalar, simdOut));
-}
-
-TEST(SimdParity, MatmulIntoStridedBlocks)
-{
-    Tensor a = randomTensor(3, 13, 19);
-    Tensor b = randomTensor(4, 19, 29);
-    int64_t dstStride = b.cols() + 7;
-    std::vector<float> scalar(static_cast<size_t>(a.rows()) * dstStride,
-                              -5.0f);
-    std::vector<float> simdOut = scalar;
-    {
-        ScalarGuard g(true);
-        tensor::matmulInto(scalar.data(), dstStride, a.data(), a.cols(),
-                           a.rows(), b);
-    }
-    tensor::matmulInto(simdOut.data(), dstStride, a.data(), a.cols(),
-                       a.rows(), b);
-    EXPECT_EQ(std::memcmp(scalar.data(), simdOut.data(),
-                          scalar.size() * sizeof(float)),
-              0);
+    // Row 0 skips the Inf row of B: its column 5 stays finite, and row 4
+    // skips the NaN: its column 2 too.
+    EXPECT_TRUE(std::isfinite(simdOut(0, 5)));
+    EXPECT_TRUE(std::isfinite(simdOut(4, 2)));
+    EXPECT_TRUE(std::isnan(simdOut(0, 2)));
 }
 
 // --- Reductions --------------------------------------------------------

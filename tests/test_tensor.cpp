@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/panel_matrix.hpp"
 #include "tensor/tensor.hpp"
 
 namespace mesorasi::tensor {
@@ -277,6 +280,68 @@ TEST(Init, ConstantFills)
 {
     Tensor c = constant(2, 2, 3.5f);
     EXPECT_FLOAT_EQ(c(1, 1), 3.5f);
+}
+
+bool
+sameBytes(const Tensor &a, const Tensor &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.bytes())) == 0;
+}
+
+TEST(PanelMatrix, PacksAndUnpacksExactly)
+{
+    // Column counts around the panel width: a narrow last panel, exact
+    // panels, and one column past them.
+    for (int32_t cols : {1, kPanelWidth - 1, kPanelWidth, 2 * kPanelWidth + 1}) {
+        Rng rng(static_cast<uint64_t>(cols));
+        Tensor t = uniform(rng, 5, cols, -1, 1);
+        t(2, cols - 1) = -0.0f;
+        PanelMatrix p(t);
+        EXPECT_EQ(p.rows(), 5);
+        EXPECT_EQ(p.cols(), cols);
+        EXPECT_EQ(p.numel(), t.numel());
+        EXPECT_TRUE(sameBytes(p.toTensor(), t)) << cols;
+        MatrixView v = p.view();
+        EXPECT_EQ(v.kStride, kPanelWidth);
+        for (int32_t k = 0; k < t.rows(); ++k)
+            for (int32_t j = 0; j < cols; ++j) {
+                EXPECT_EQ(std::memcmp(&t(k, j), &v.data[(j / kPanelWidth) *
+                                                            v.panelStride +
+                                                        k * kPanelWidth +
+                                                        j % kPanelWidth],
+                                      sizeof(float)),
+                          0);
+                EXPECT_EQ(p.at(k, j), t(k, j));
+            }
+    }
+}
+
+TEST(PanelMatrix, DrawsLandInTheirSlots)
+{
+    // The panel initializers make the row-major draws, in order.
+    Rng a(9), b(9);
+    EXPECT_TRUE(sameBytes(kaimingNormalPanels(a, 37, 45).toTensor(),
+                          kaimingNormal(b, 37, 45)));
+    EXPECT_TRUE(sameBytes(xavierUniformPanels(a, 19, 3).toTensor(),
+                          xavierUniform(b, 19, 3)));
+}
+
+TEST(PanelMatrix, RecordsFinitenessWhenPacked)
+{
+    Tensor t = constant(3, 20, 1.0f);
+    EXPECT_TRUE(PanelMatrix(t).finite());
+    EXPECT_TRUE(PanelMatrix(t).view().finite);
+    for (float bad : {std::numeric_limits<float>::infinity(),
+                      -std::numeric_limits<float>::infinity(),
+                      std::numeric_limits<float>::quiet_NaN()}) {
+        t(2, 19) = bad;
+        EXPECT_FALSE(PanelMatrix(t).finite());
+        EXPECT_FALSE(PanelMatrix(t).view().finite);
+    }
+    EXPECT_TRUE(allFinite(t.data(), t.numel() - 1));
+    EXPECT_FALSE(allFinite(t.data(), t.numel()));
 }
 
 } // namespace
