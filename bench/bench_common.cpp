@@ -110,8 +110,9 @@ BenchJsonWriter::write(const std::string &dir) const
     out << "{\n  \"bench\": \"" << jsonEscape(benchName_) << "\",\n"
         << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
         << ", \"pool_threads\": " << ThreadPool::global().size()
-        << ", \"isa\": \"" << simd::kIsa << "\", \"simd_width\": "
-        << simd::width() << ", \"compiler\": \""
+        << ", \"isa\": \"" << simd::isaName(simd::isa())
+        << "\", \"simd_width\": " << simd::isaWidth(simd::isa())
+        << ", \"compiler\": \""
         << jsonEscape(MESORASI_BENCH_COMPILER) << "\", \"build_type\": \""
         << jsonEscape(MESORASI_BENCH_BUILD_TYPE) << "\", \"git_sha\": \""
         << jsonEscape(gitSha()) << "\"},\n  \"records\": [\n";

@@ -23,10 +23,11 @@ namespace mesorasi::bench {
  * Machine-readable bench output: collects named sample sets and writes
  * them as BENCH_<benchName>.json next to the human-readable tables, so
  * the performance trajectory is tracked across PRs. A host block
- * records where the numbers came from (nproc, pool threads, SIMD ISA
- * and effective width, compiler, build type, git sha of the working
- * directory); each record carries the bench-specific parameters plus
- * median and p90 milliseconds.
+ * records where the numbers came from (nproc, pool threads, the SIMD
+ * ISA the kernels dispatched to — "scalar" when forced — and its lane
+ * width, compiler, build type, git sha of the working directory); each
+ * record carries the bench-specific parameters plus median and p90
+ * milliseconds.
  */
 class BenchJsonWriter
 {

@@ -90,7 +90,32 @@ runInterleaved(int reps, const std::vector<std::function<void()>> &variants)
 std::string
 simdWidthStr(bool forcedScalar = false)
 {
-    return std::to_string(forcedScalar ? 1 : simd::width());
+    return std::to_string(forcedScalar ? 1 : simd::isaWidth(simd::isa()));
+}
+
+/** The vector copies the per-width records sweep: every compiled ISA
+ *  the host runs, narrowest first, or none while forced scalar (each
+ *  would then run the oracle). */
+std::vector<simd::Isa>
+vectorIsas()
+{
+    std::vector<simd::Isa> out;
+    if (!simd::forceScalar())
+        for (simd::Isa isa : simd::runnableIsas())
+            if (isa != simd::Isa::Scalar)
+                out.push_back(isa);
+    return out;
+}
+
+/** Runs @p fn forced scalar, restoring the prior flag (not plain false)
+ *  so a MESORASI_FORCE_SCALAR=1 run stays scalar throughout. */
+void
+runScalar(const std::function<void()> &fn)
+{
+    bool prev = simd::forceScalar();
+    simd::setForceScalar(true);
+    fn();
+    simd::setForceScalar(prev);
 }
 
 geom::PointCloud
@@ -306,14 +331,11 @@ runAggKernelBench(bench::BenchJsonWriter &json)
                                              groups[c]);
          },
          [&] {
-             // Restore the prior flag (not plain false) so a
-             // MESORASI_FORCE_SCALAR=1 run stays scalar throughout.
-             bool prev = simd::forceScalar();
-             simd::setForceScalar(true);
-             for (int32_t c = 0; c < kCentroids; ++c)
-                 tensor::gatherMaxReduceInto(outScalar.row(c), pft,
-                                             groups[c]);
-             simd::setForceScalar(prev);
+             runScalar([&] {
+                 for (int32_t c = 0; c < kCentroids; ++c)
+                     tensor::gatherMaxReduceInto(outScalar.row(c), pft,
+                                                 groups[c]);
+             });
          },
          [&] {
              for (int32_t c = 0; c < kCentroids; ++c)
@@ -323,14 +345,13 @@ runAggKernelBench(bench::BenchJsonWriter &json)
                      static_cast<int32_t>(groups[c].size()), scaleI8);
          },
          [&] {
-             bool prev = simd::forceScalar();
-             simd::setForceScalar(true);
-             for (int32_t c = 0; c < kCentroids; ++c)
-                 tensor::gatherMaxReduceI8Into(
-                     outI8Scalar.row(c), pftI8.data(), kPftCols,
-                     kPftCols, kPftRows, groups[c].data(),
-                     static_cast<int32_t>(groups[c].size()), scaleI8);
-             simd::setForceScalar(prev);
+             runScalar([&] {
+                 for (int32_t c = 0; c < kCentroids; ++c)
+                     tensor::gatherMaxReduceI8Into(
+                         outI8Scalar.row(c), pftI8.data(), kPftCols,
+                         kPftCols, kPftRows, groups[c].data(),
+                         static_cast<int32_t>(groups[c].size()), scaleI8);
+             });
          },
          [&] {
              for (int32_t c = 0; c < kCentroids; ++c)
@@ -443,11 +464,10 @@ runMatmulSimdBench(bench::BenchJsonWriter &json)
     auto samples = runInterleaved(
         kMatmulReps,
         {[&] {
-             bool prev = simd::forceScalar();
-             simd::setForceScalar(true);
-             tensor::matmulInto(outScalar.data(), kCols, a.data(),
-                                kInner, kRows, b);
-             simd::setForceScalar(prev);
+             runScalar([&] {
+                 tensor::matmulInto(outScalar.data(), kCols, a.data(),
+                                    kInner, kRows, b);
+             });
          },
          [&] {
              tensor::matmulInto(outSimd.data(), kCols, a.data(), kInner,
@@ -466,8 +486,8 @@ runMatmulSimdBench(bench::BenchJsonWriter &json)
             {"Kernel", "Median ms", "p90 ms"});
     t.addRow({"forced scalar", fmt(medScalar, 3),
               fmt(percentile(scalar, 90.0), 3)});
-    t.addRow({std::string("simd (") + simd::kIsa + ", width " +
-                  std::to_string(simd::kWidth) + ")",
+    t.addRow({std::string("simd (") + simd::isaName(simd::isa()) +
+                  ", width " + simdWidthStr() + ")",
               fmt(medSimd, 3), fmt(percentile(simdSamples, 90.0), 3)});
     t.print();
     std::cout << "matmul simd speedup: "
@@ -478,7 +498,7 @@ runMatmulSimdBench(bench::BenchJsonWriter &json)
             {"rows", std::to_string(kRows)},
             {"inner", std::to_string(kInner)},
             {"cols", std::to_string(kCols)},
-            {"isa", simd::kIsa},
+            {"isa", forcedScalar ? "scalar" : simd::isaName(simd::isa())},
             {"simd_width", simdWidthStr(forcedScalar)},
         };
     };
@@ -487,13 +507,16 @@ runMatmulSimdBench(bench::BenchJsonWriter &json)
 }
 
 // ---------------------------------------------------------------------
-// Matmul at the engine's F-step shapes, single thread: the SIMD kernel
-// vs the forced-scalar oracle on half-zero (ReLU-like) activations,
-// reading B through the view the engine uses. MLP layers run on panels:
-// sa3's last layer (128 x 512 -> 1024), DGCNN's head.global (1024 x 512
-// -> 1024) and head.fc's first layer (one row, 1024 -> 512). DGCNN's
-// ec4 split-weight Matmul steps (1024 x 128 -> 256) run on a row-major
-// view. Every pair is checked memcmp-equal.
+// Matmul at the engine's F-step shapes, single thread: every compiled
+// SIMD copy the host runs vs the forced-scalar oracle on half-zero
+// (ReLU-like) activations, reading B through the view the engine uses.
+// MLP layers run on panels: sa3's last layer (128 x 512 -> 1024),
+// DGCNN's head.global (1024 x 512 -> 1024) and head.fc's first layer
+// (one row, 1024 -> 512). DGCNN's ec4 split-weight Matmul steps (1024 x
+// 128 -> 256) run on a row-major view. Every copy runs over the same
+// panels (kPanelWidth does not depend on the dispatch), so the narrower
+// copies' cost under the wide panel shows; each result is checked
+// memcmp-equal to the oracle.
 // ---------------------------------------------------------------------
 
 constexpr int kMatmulFReps = 5;
@@ -510,8 +533,9 @@ runMatmulFShapeBench(bench::BenchJsonWriter &json)
                             {1024, 512, 1024, true},
                             {1024, 128, 256, false},
                             {1, 1024, 512, true}};
+    const std::vector<simd::Isa> isas = vectorIsas();
     Table t("Matmul at the F-step shapes, half-zero input (single thread)",
-            {"Shape", "B view", "Scalar ms", "SIMD ms", "Speedup"});
+            {"Shape", "B view", "Kernel", "Median ms", "Speedup"});
     for (const Shape &sh : shapes) {
         Rng rng(41);
         tensor::Tensor a =
@@ -524,46 +548,53 @@ runMatmulFShapeBench(bench::BenchJsonWriter &json)
             sh.panels ? packed.view()
                       : tensor::rowMajorView(
                             w, tensor::allFinite(w.data(), w.numel()));
-        tensor::Tensor outScalar(sh.rows, sh.cols);
-        tensor::Tensor outSimd(sh.rows, sh.cols);
-        auto samples = runInterleaved(
-            kMatmulFReps,
-            {[&] {
-                 bool prev = simd::forceScalar();
-                 simd::setForceScalar(true);
-                 tensor::matmulInto(outScalar.data(), sh.cols, a.data(),
-                                    sh.inner, sh.rows, b);
-                 simd::setForceScalar(prev);
-             },
-             [&] {
-                 tensor::matmulInto(outSimd.data(), sh.cols, a.data(),
-                                    sh.inner, sh.rows, b);
-             }});
-        MESO_CHECK(std::memcmp(outScalar.data(), outSimd.data(),
-                               static_cast<size_t>(outSimd.bytes())) == 0,
-                   "matmul kernel diverged from the scalar oracle at "
-                       << sh.rows << "x" << sh.inner << "x" << sh.cols);
-        double medScalar = percentile(samples[0], 50.0);
-        double medSimd = percentile(samples[1], 50.0);
+        // Variant 0 is the oracle, variant 1 + i runs isas[i].
+        std::vector<tensor::Tensor> outs(1 + isas.size(),
+                                         tensor::Tensor(sh.rows, sh.cols));
+        auto product = [&](size_t v) {
+            tensor::matmulInto(outs[v].data(), sh.cols, a.data(), sh.inner,
+                               sh.rows, b);
+        };
+        std::vector<std::function<void()>> variants{
+            [&] { runScalar([&] { product(0); }); }};
+        for (size_t i = 0; i < isas.size(); ++i)
+            variants.push_back([&, i] {
+                simd::ScopedIsa g(isas[i]);
+                product(1 + i);
+            });
+        auto samples = runInterleaved(kMatmulFReps, variants);
+
         std::string shape = std::to_string(sh.rows) + "x" +
                             std::to_string(sh.inner) + "x" +
                             std::to_string(sh.cols);
         const char *view = sh.panels ? "panels" : "row_major";
-        t.addRow({shape, view, fmt(medScalar, 3), fmt(medSimd, 3),
-                  fmtX(medSimd > 0.0 ? medScalar / medSimd : 0.0)});
-        auto params = [&](bool forcedScalar) {
+        auto params = [&](simd::Isa isa) {
             return std::vector<std::pair<std::string, std::string>>{
                 {"rows", std::to_string(sh.rows)},
                 {"inner", std::to_string(sh.inner)},
                 {"cols", std::to_string(sh.cols)},
                 {"b_view", view},
                 {"input", "half_zero"},
-                {"isa", simd::kIsa},
-                {"simd_width", simdWidthStr(forcedScalar)},
+                {"isa", simd::isaName(isa)},
+                {"simd_width", std::to_string(simd::isaWidth(isa))},
             };
         };
-        json.add("matmul_f_scalar", params(true), samples[0]);
-        json.add("matmul_f_simd", params(false), samples[1]);
+        double medScalar = percentile(samples[0], 50.0);
+        t.addRow({shape, view, "scalar", fmt(medScalar, 3), "1.00x"});
+        json.add("matmul_f_scalar", params(simd::Isa::Scalar), samples[0]);
+        for (size_t i = 0; i < isas.size(); ++i) {
+            MESO_CHECK(std::memcmp(outs[0].data(), outs[1 + i].data(),
+                                   static_cast<size_t>(outs[0].bytes())) ==
+                           0,
+                       "matmul " << simd::isaName(isas[i])
+                                 << " kernel diverged from the scalar "
+                                    "oracle at "
+                                 << shape);
+            double med = percentile(samples[1 + i], 50.0);
+            t.addRow({shape, view, simd::isaName(isas[i]), fmt(med, 3),
+                      fmtX(med > 0.0 ? medScalar / med : 0.0)});
+            json.add("matmul_f_simd", params(isas[i]), samples[1 + i]);
+        }
     }
     t.print();
 }
@@ -571,8 +602,9 @@ runMatmulFShapeBench(bench::BenchJsonWriter &json)
 // ---------------------------------------------------------------------
 // Feature-space brute-force k-NN at DGCNN's ec2 / ec4 search shapes
 // (n = 1024 rows, k = 20, 64-d and 128-d): one knnInto per query vs
-// the query-blocked knnRowsInto, with SIMD and under forced scalar.
-// Single thread; all three must return identical NITs.
+// the query-blocked knnRowsInto under forced scalar and at every
+// compiled SIMD copy the host runs. Single thread; all must return
+// identical NITs.
 // ---------------------------------------------------------------------
 
 constexpr int kKnnFeatureReps = 9;
@@ -583,6 +615,7 @@ runKnnFeatureBench(bench::BenchJsonWriter &json)
     constexpr int32_t kN = 1024;
     constexpr int32_t kK = 20;
     constexpr size_t kOut = static_cast<size_t>(kN) * kK;
+    const std::vector<simd::Isa> isas = vectorIsas();
 
     Table t("Feature-space brute-force k-NN — n=" + std::to_string(kN) +
                 ", k=" + std::to_string(kK) + " (single thread)",
@@ -594,51 +627,64 @@ runKnnFeatureBench(bench::BenchJsonWriter &json)
         auto backend = neighbor::makeBackendByName("brute_force", view);
         std::vector<int32_t> rows(kN);
         std::iota(rows.begin(), rows.end(), 0);
-        std::vector<int32_t> perQuery(kOut), blocked(kOut),
-            blockedScalar(kOut);
+        // Variant 0 runs one knnInto per query at the dispatched copy,
+        // 1 the blocked path forced scalar, 2 + i the blocked path on
+        // isas[i].
+        std::vector<std::vector<int32_t>> nits(2 + isas.size(),
+                                               std::vector<int32_t>(kOut));
+        auto blocked = [&](size_t v) {
+            backend->knnRowsInto(rows.data(), kN, kK, nits[v].data());
+        };
+        std::vector<std::function<void()>> variants{
+            [&] {
+                for (int32_t i = 0; i < kN; ++i)
+                    backend->knnInto(view.row(i), kK,
+                                     nits[0].data() +
+                                         static_cast<size_t>(i) * kK);
+            },
+            [&] { runScalar([&] { blocked(1); }); }};
+        for (size_t i = 0; i < isas.size(); ++i)
+            variants.push_back([&, i] {
+                simd::ScopedIsa g(isas[i]);
+                blocked(2 + i);
+            });
+        auto samples = runInterleaved(kKnnFeatureReps, variants);
 
-        auto samples = runInterleaved(
-            kKnnFeatureReps,
-            {[&] {
-                 for (int32_t i = 0; i < kN; ++i)
-                     backend->knnInto(view.row(i), kK,
-                                      perQuery.data() +
-                                          static_cast<size_t>(i) * kK);
-             },
-             [&] {
-                 backend->knnRowsInto(rows.data(), kN, kK,
-                                      blocked.data());
-             },
-             [&] {
-                 bool prev = simd::forceScalar();
-                 simd::setForceScalar(true);
-                 backend->knnRowsInto(rows.data(), kN, kK,
-                                      blockedScalar.data());
-                 simd::setForceScalar(prev);
-             }});
-        MESO_CHECK(blocked == perQuery && blockedScalar == perQuery,
-                   "batched k-NN diverged from per-query k-NN at dim "
-                       << dim);
-
-        const char *paths[] = {"per-query knnInto", "knnRowsInto",
-                               "knnRowsInto (forced scalar)"};
-        for (size_t v = 0; v < samples.size(); ++v)
-            t.addRow({std::to_string(dim), paths[v],
-                      fmt(percentile(samples[v], 50.0), 3),
-                      fmt(percentile(samples[v], 90.0), 3)});
-
-        auto params = [&](bool forcedScalar) {
+        auto params = [&](simd::Isa isa) {
             return std::vector<std::pair<std::string, std::string>>{
                 {"n", std::to_string(kN)},
                 {"k", std::to_string(kK)},
                 {"dim", std::to_string(dim)},
-                {"isa", simd::kIsa},
-                {"simd_width", simdWidthStr(forcedScalar)},
+                {"isa", simd::isaName(isa)},
+                {"simd_width", std::to_string(simd::isaWidth(isa))},
             };
         };
-        json.add("knn_feature_per_query", params(false), samples[0]);
-        json.add("knn_feature_rows", params(false), samples[1]);
-        json.add("knn_feature_rows_scalar", params(true), samples[2]);
+        auto row = [&](const std::string &path, size_t v) {
+            t.addRow({std::to_string(dim), path,
+                      fmt(percentile(samples[v], 50.0), 3),
+                      fmt(percentile(samples[v], 90.0), 3)});
+        };
+        MESO_CHECK(nits[1] == nits[0],
+                   "forced-scalar batched k-NN diverged from per-query "
+                   "k-NN at dim "
+                       << dim);
+        row(std::string("per-query knnInto (") +
+                simd::isaName(simd::isa()) + ")",
+            0);
+        row("knnRowsInto (forced scalar)", 1);
+        json.add("knn_feature_per_query", params(simd::isa()), samples[0]);
+        json.add("knn_feature_rows_scalar", params(simd::Isa::Scalar),
+                 samples[1]);
+        for (size_t i = 0; i < isas.size(); ++i) {
+            MESO_CHECK(nits[2 + i] == nits[0],
+                       "batched k-NN on " << simd::isaName(isas[i])
+                                          << " diverged from per-query "
+                                             "k-NN at dim "
+                                          << dim);
+            row(std::string("knnRowsInto (") + simd::isaName(isas[i]) + ")",
+                2 + i);
+            json.add("knn_feature_rows", params(isas[i]), samples[2 + i]);
+        }
     }
     t.print();
 }

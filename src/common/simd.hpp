@@ -1,65 +1,137 @@
 /**
  * @file
- * Portable SIMD abstraction for the compute substrate.
+ * Runtime ISA dispatch for the vector kernels.
  *
  * Mesorasi's premise is that delayed aggregation turns irregular gather
  * work into regular streaming matrix/reduce work that dense hardware
  * executes efficiently. On the host, "dense hardware" means the vector
  * units, so every hot kernel (matmul, max-reduce, gather-reduce, bias /
- * ReLU / batchnorm epilogues, neighbor dist2 batches) is written against
- * this header instead of raw intrinsics.
+ * ReLU / batchnorm epilogues, the int8/int4 gather kernels, neighbor
+ * dist2 batches) is written against a small register abstraction,
+ * VecF/VecB (common/simd_vec.hpp), instead of raw intrinsics.
  *
  * Design:
- *  - One compile-time lane width, picked from the target ISA: AVX2
- *    (8 x f32), SSE2 (4 x f32), NEON (4 x f32), or a scalar stand-in
- *    (1 x f32). There is no runtime CPUID dispatch: the binary is built
- *    for one width, and CI builds the matrix (baseline SSE2, -mavx2,
- *    and -DMESORASI_FORCE_SCALAR=1).
- *  - VecF is a thin value wrapper: load/store (always unaligned — tensor
- *    rows and workspace buffers carry no alignment guarantee, and
- *    unaligned loads are free on every target we build for), broadcast,
- *    add/sub/mul, compare-less-than, blend and a transposed 4-register
- *    store.
- *  - Bitwise scalar parity is a hard contract. Kernels built on VecF
- *    must produce byte-identical results to their scalar fallbacks, so
- *    the header deliberately exposes no FMA (mul+add keeps scalar
- *    rounding) and no native min/max: maxOrdered() and relu() are
- *    implemented as cmpLt + blend so they replicate std::max's exact
- *    NaN and signed-zero behavior (std::max(a,b) keeps `a` unless
- *    a < b; MAXPS would instead return the second operand on NaN and
- *    on +/-0 ties).
- *  - Scalar forcing: defining MESORASI_FORCE_SCALAR at compile time
- *    removes the vector paths entirely; setting the MESORASI_FORCE_SCALAR
- *    environment variable (or calling setForceScalar) disables them at
- *    runtime, which is what the parity tests and the scalar-vs-SIMD
- *    bench records use. Kernels consult enabled() once per call.
- *
- * The dispatch seam for future backends: kernels keep their scalar
- * signatures (pointers + strides + row counts) and select an
- * implementation internally. A GPU/NPU backend can slot in behind the
- * same kernel signatures by adding a third implementation and a wider
- * dispatch enum — callers never name an ISA.
+ *  - One binary, every width. The kernel sources (*_kernels.cpp) are
+ *    compiled once per vector ISA the target has: SSE2 (4 x f32) and
+ *    AVX2 (8 x f32) on x86-64, NEON (4 x f32) on AArch64. Each copy
+ *    takes its VecF from its own define, not from the ambient -m flags,
+ *    and lives in an ISA-named namespace, so no inline symbol is shared
+ *    between copies and a -mavx2 build still holds a true 4-lane SSE2
+ *    copy. Only the AVX2 copy gets -mavx2 (never -mfma).
+ *  - Selection. At start-up the widest compiled copy the CPU runs is
+ *    picked (__builtin_cpu_supports); every public kernel entry point
+ *    asks isa() once per call and runs that copy. Layouts that must not
+ *    depend on the pick (the matmul panel width, the k-NN query block)
+ *    are sized from kMaxWidth, the widest compiled width, and each copy
+ *    covers them in multiples of its own width.
+ *  - Bitwise scalar parity is a hard contract. Every copy produces
+ *    byte-identical results to the scalar oracle, so the register layer
+ *    exposes no FMA (mul+add keeps scalar rounding) and no native
+ *    min/max semantics: maxOrdered() and relu() replicate std::max's
+ *    exact NaN and signed-zero behavior. A build whose flags let the
+ *    compiler contract mul+add into FMA (-mfma, -mavx512f,
+ *    -march=native on an FMA host) is refused below.
+ *  - Scalar forcing. Defining MESORASI_FORCE_SCALAR at compile time
+ *    compiles no vector copy at all; setting the MESORASI_FORCE_SCALAR
+ *    environment variable (or calling setForceScalar) routes every
+ *    kernel to its scalar oracle at runtime. Forcing takes precedence
+ *    over the ISA pick, which setIsa() changes, so one process can run
+ *    the oracle and every compiled width over the same data (the
+ *    parity tests and the per-width bench records do).
  */
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#if defined(__FMA__) || defined(__AVX512F__)
+#error "mesorasi kernels are bitwise identical to their scalar oracles only without FMA contraction (mul then add): build without -mfma, -mavx512f or -march=native"
+#endif
+
+// The vector copies this build compiles (CMakeLists.txt compiles the
+// kernel sources once per ISA on the same condition).
 #if defined(MESORASI_FORCE_SCALAR)
-#define MESORASI_SIMD_SCALAR 1
-#elif defined(__AVX2__)
-#define MESORASI_SIMD_AVX2 1
-#include <immintrin.h>
-#elif defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
+#define MESORASI_SIMD_SSE2 0
+#define MESORASI_SIMD_AVX2 0
+#define MESORASI_SIMD_NEON 0
+#elif defined(__x86_64__) || defined(_M_X64)
 #define MESORASI_SIMD_SSE2 1
-#include <emmintrin.h>
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
+#define MESORASI_SIMD_AVX2 1
+#define MESORASI_SIMD_NEON 0
+#elif defined(__aarch64__)
+#define MESORASI_SIMD_SSE2 0
+#define MESORASI_SIMD_AVX2 0
 #define MESORASI_SIMD_NEON 1
-#include <arm_neon.h>
 #else
-#define MESORASI_SIMD_SCALAR 1
+#define MESORASI_SIMD_SSE2 0
+#define MESORASI_SIMD_AVX2 0
+#define MESORASI_SIMD_NEON 0
 #endif
 
 namespace mesorasi::simd {
+
+/** An instruction set a kernel copy targets. Scalar is the oracle. */
+enum class Isa : uint8_t
+{
+    Scalar,
+    Sse2,
+    Avx2,
+    Neon,
+};
+
+/** "scalar", "sse2", "avx2" or "neon". */
+const char *isaName(Isa isa);
+
+/** f32 lanes per register: 1, 4, 8 or 4. */
+int32_t isaWidth(Isa isa);
+
+/** The widest f32 lane width of any compiled copy (8 on x86-64, 4 on
+ *  AArch64, 1 when no vector copy is compiled). Sizes the layouts that
+ *  stay fixed whatever copy runs: tensor::kPanelWidth and
+ *  neighbor::kQueryBlock. */
+inline constexpr int32_t kMaxWidth =
+    MESORASI_SIMD_AVX2 ? 8 : (MESORASI_SIMD_SSE2 || MESORASI_SIMD_NEON ? 4 : 1);
+
+/** True when this binary holds a kernel copy for @p isa (Scalar always). */
+bool compiled(Isa isa);
+
+/** The CPU features the kernel copies need. */
+struct CpuFeatures
+{
+    bool sse2 = false;
+    bool avx2 = false;
+    bool neon = false;
+};
+
+/** What the host CPU (and its OS) can run. */
+CpuFeatures hostCpu();
+
+/**
+ * The selection rule: Scalar when @p forceScalar, else the widest copy
+ * this binary compiled that @p cpu runs (Scalar if none).
+ */
+Isa selectIsa(const CpuFeatures &cpu, bool forceScalar);
+
+/** Throws UsageError unless this binary compiled @p isa and @p cpu
+ *  runs it. */
+void requireRunnable(Isa isa, const CpuFeatures &cpu);
+
+/** Every ISA this binary compiled that the host runs, in ascending
+ *  width, Scalar first: the copies setIsa() accepts. */
+std::vector<Isa> runnableIsas();
+
+/**
+ * The ISA the kernels dispatch to now: Scalar while forceScalar(),
+ * else the copy picked at start-up (selectIsa(hostCpu(), false)) or
+ * pinned by setIsa().
+ */
+Isa isa();
+
+/** Pin the copy the kernels run (UsageError, via requireRunnable, for
+ *  one the binary lacks or the host cannot run). Force-scalar keeps
+ *  precedence. Not thread-safe against concurrent kernels; switch only
+ *  between parallel regions. */
+void setIsa(Isa isa);
 
 /**
  * Runtime kill switch for the vector paths. Initialized once from the
@@ -74,437 +146,33 @@ bool forceScalar();
  *  kernels; flip it only between parallel regions. */
 void setForceScalar(bool force);
 
-// ---------------------------------------------------------------------
-// VecF: one register of kWidth packed f32 lanes.
-// ---------------------------------------------------------------------
-
-#if defined(MESORASI_SIMD_AVX2)
-
-inline constexpr int kWidth = 8;
-inline constexpr const char *kIsa = "avx2";
-
-struct VecF
+/** Runs a scope on one copy (setIsa), then restores the previous pick,
+ *  also when the scope throws. */
+class ScopedIsa
 {
-    __m256 v;
+  public:
+    explicit ScopedIsa(Isa isa);
+    ~ScopedIsa();
+    ScopedIsa(const ScopedIsa &) = delete;
+    ScopedIsa &operator=(const ScopedIsa &) = delete;
 
-    static VecF load(const float *p) { return {_mm256_loadu_ps(p)}; }
-    static VecF broadcast(float x) { return {_mm256_set1_ps(x)}; }
-    static VecF zero() { return {_mm256_setzero_ps()}; }
-    void store(float *p) const { _mm256_storeu_ps(p, v); }
+  private:
+    Isa prev_;
 };
 
-inline VecF add(VecF a, VecF b) { return {_mm256_add_ps(a.v, b.v)}; }
-inline VecF sub(VecF a, VecF b) { return {_mm256_sub_ps(a.v, b.v)}; }
-inline VecF mul(VecF a, VecF b) { return {_mm256_mul_ps(a.v, b.v)}; }
-
-/** All-ones lanes where a < b (ordered: NaN compares false). */
-inline VecF
-cmpLt(VecF a, VecF b)
+/** The dispatched ISA's name and lane width under the names the old
+ *  compile-time constants had, for code that assigns them (`str =
+ *  kIsa;` into a std::string, `int32_t w = kWidth;`): each conversion
+ *  reads isa(). */
+struct DispatchedIsaName
 {
-    return {_mm256_cmp_ps(a.v, b.v, _CMP_LT_OQ)};
-}
-
-/** Lane-wise mask ? a : b (mask lanes must be all-ones or all-zero). */
-inline VecF
-blend(VecF mask, VecF a, VecF b)
-{
-    return {_mm256_blendv_ps(b.v, a.v, mask.v)};
-}
-
-#elif defined(MESORASI_SIMD_SSE2)
-
-inline constexpr int kWidth = 4;
-inline constexpr const char *kIsa = "sse2";
-
-struct VecF
-{
-    __m128 v;
-
-    static VecF load(const float *p) { return {_mm_loadu_ps(p)}; }
-    static VecF broadcast(float x) { return {_mm_set1_ps(x)}; }
-    static VecF zero() { return {_mm_setzero_ps()}; }
-    void store(float *p) const { _mm_storeu_ps(p, v); }
+    operator const char *() const { return isaName(isa()); }
 };
-
-inline VecF add(VecF a, VecF b) { return {_mm_add_ps(a.v, b.v)}; }
-inline VecF sub(VecF a, VecF b) { return {_mm_sub_ps(a.v, b.v)}; }
-inline VecF mul(VecF a, VecF b) { return {_mm_mul_ps(a.v, b.v)}; }
-
-inline VecF cmpLt(VecF a, VecF b) { return {_mm_cmplt_ps(a.v, b.v)}; }
-
-inline VecF
-blend(VecF mask, VecF a, VecF b)
+struct DispatchedWidth
 {
-    return {_mm_or_ps(_mm_and_ps(mask.v, a.v),
-                      _mm_andnot_ps(mask.v, b.v))};
-}
-
-#elif defined(MESORASI_SIMD_NEON)
-
-inline constexpr int kWidth = 4;
-inline constexpr const char *kIsa = "neon";
-
-struct VecF
-{
-    float32x4_t v;
-
-    static VecF load(const float *p) { return {vld1q_f32(p)}; }
-    static VecF broadcast(float x) { return {vdupq_n_f32(x)}; }
-    static VecF zero() { return {vdupq_n_f32(0.0f)}; }
-    void store(float *p) const { vst1q_f32(p, v); }
+    operator int32_t() const { return isaWidth(isa()); }
 };
-
-inline VecF add(VecF a, VecF b) { return {vaddq_f32(a.v, b.v)}; }
-inline VecF sub(VecF a, VecF b) { return {vsubq_f32(a.v, b.v)}; }
-inline VecF mul(VecF a, VecF b) { return {vmulq_f32(a.v, b.v)}; }
-
-inline VecF
-cmpLt(VecF a, VecF b)
-{
-    return {vreinterpretq_f32_u32(vcltq_f32(a.v, b.v))};
-}
-
-inline VecF
-blend(VecF mask, VecF a, VecF b)
-{
-    return {vbslq_f32(vreinterpretq_u32_f32(mask.v), a.v, b.v)};
-}
-
-#else // MESORASI_SIMD_SCALAR
-
-inline constexpr int kWidth = 1;
-inline constexpr const char *kIsa = "scalar";
-
-struct VecF
-{
-    float v;
-
-    static VecF load(const float *p) { return {*p}; }
-    static VecF broadcast(float x) { return {x}; }
-    static VecF zero() { return {0.0f}; }
-    void store(float *p) const { *p = v; }
-};
-
-inline VecF add(VecF a, VecF b) { return {a.v + b.v}; }
-inline VecF sub(VecF a, VecF b) { return {a.v - b.v}; }
-inline VecF mul(VecF a, VecF b) { return {a.v * b.v}; }
-inline VecF cmpLt(VecF a, VecF b) { return {a.v < b.v ? 1.0f : 0.0f}; }
-inline VecF blend(VecF m, VecF a, VecF b) { return {m.v != 0.0f ? a.v : b.v}; }
-
-#endif
-
-/** std::max(a, b) per lane, bit-for-bit: keeps `a` unless a < b, so
- *  NaN in `b` is dropped, NaN in `a` propagates, and a +0/-0 tie keeps
- *  `a` — exactly the scalar semantics every reduce kernel relies on.
- *
- *  On x86 this is a single MAXPS with *swapped* operands: MAX(SRC1,
- *  SRC2) returns SRC1 only when SRC1 > SRC2 and otherwise SRC2 —
- *  including both NaN cases and +0/-0 ties — so MAX(b, a) is exactly
- *  (a < b) ? b : a. NEON's vmax quietens NaNs differently, so it (and
- *  the scalar stand-in) use the explicit cmpLt + blend form. */
-inline VecF
-maxOrdered(VecF a, VecF b)
-{
-#if defined(MESORASI_SIMD_AVX2)
-    return {_mm256_max_ps(b.v, a.v)};
-#elif defined(MESORASI_SIMD_SSE2)
-    return {_mm_max_ps(b.v, a.v)};
-#else
-    return blend(cmpLt(a, b), b, a);
-#endif
-}
-
-/** std::min(a, b) per lane, bit-for-bit: keeps `a` unless b < a, so
- *  NaN in `b` is dropped, NaN in `a` propagates, and a +0/-0 tie keeps
- *  `a` — the mirror of maxOrdered. On x86 a single MINPS with swapped
- *  operands: MIN(SRC1, SRC2) returns SRC1 only when SRC1 < SRC2 and
- *  otherwise SRC2, so MIN(b, a) is exactly (b < a) ? b : a. */
-inline VecF
-minOrdered(VecF a, VecF b)
-{
-#if defined(MESORASI_SIMD_AVX2)
-    return {_mm256_min_ps(b.v, a.v)};
-#elif defined(MESORASI_SIMD_SSE2)
-    return {_mm_min_ps(b.v, a.v)};
-#else
-    return blend(cmpLt(b, a), b, a);
-#endif
-}
-
-/** Store the 4 x kWidth block held in r0..r3 transposed: lane l of
- *  r_c goes to p[l * ld + c], i.e. kWidth rows of 4 floats, @p ld
- *  floats apart. Pure data movement, so bitwise by construction. */
-inline void
-storeTransposed4(VecF r0, VecF r1, VecF r2, VecF r3, float *p, int64_t ld)
-{
-#if defined(MESORASI_SIMD_AVX2)
-    __m256 t0 = _mm256_unpacklo_ps(r0.v, r1.v);
-    __m256 t1 = _mm256_unpackhi_ps(r0.v, r1.v);
-    __m256 t2 = _mm256_unpacklo_ps(r2.v, r3.v);
-    __m256 t3 = _mm256_unpackhi_ps(r2.v, r3.v);
-    // Each 128-bit half of u_l holds lane l (low) / l + 4 (high).
-    __m256 u[4] = {_mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0)),
-                   _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2)),
-                   _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0)),
-                   _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2))};
-    for (int l = 0; l < 4; ++l) {
-        _mm_storeu_ps(p + l * ld, _mm256_castps256_ps128(u[l]));
-        _mm_storeu_ps(p + (l + 4) * ld, _mm256_extractf128_ps(u[l], 1));
-    }
-#elif defined(MESORASI_SIMD_SSE2)
-    _MM_TRANSPOSE4_PS(r0.v, r1.v, r2.v, r3.v);
-    _mm_storeu_ps(p, r0.v);
-    _mm_storeu_ps(p + ld, r1.v);
-    _mm_storeu_ps(p + 2 * ld, r2.v);
-    _mm_storeu_ps(p + 3 * ld, r3.v);
-#else
-    float t[4][kWidth];
-    r0.store(t[0]);
-    r1.store(t[1]);
-    r2.store(t[2]);
-    r3.store(t[3]);
-    for (int l = 0; l < kWidth; ++l)
-        for (int c = 0; c < 4; ++c)
-            p[l * ld + c] = t[c][l];
-#endif
-}
-
-/** std::max(0.0f, x) per lane, bit-for-bit: NaN and -0.0 map to +0.0
- *  (MAX(x, 0) keeps x only when x > 0, so every other input — NaN,
- *  -0.0, negatives — yields the +0.0 of the second operand, exactly
- *  like the scalar (0 < x) ? x : 0). */
-inline VecF
-relu(VecF x)
-{
-    VecF z = VecF::zero();
-#if defined(MESORASI_SIMD_AVX2)
-    return {_mm256_max_ps(x.v, z.v)};
-#elif defined(MESORASI_SIMD_SSE2)
-    return {_mm_max_ps(x.v, z.v)};
-#else
-    return blend(cmpLt(z, x), x, z);
-#endif
-}
-
-// ---------------------------------------------------------------------
-// VecB: one register of kWidthB packed bytes — the quantized-PFT
-// datapath (tensor/ops.cpp int8/int4 gather-max kernels). Integer max
-// is exact, associative and commutative, so — unlike the float lanes
-// above — the byte kernels have no NaN/ordering subtleties: any
-// traversal order is bitwise identical to the scalar reference.
-// ---------------------------------------------------------------------
-
-#if defined(MESORASI_SIMD_AVX2)
-
-inline constexpr int kWidthB = 32;
-
-struct VecB
-{
-    __m256i v;
-
-    static VecB load(const void *p)
-    {
-        return {_mm256_loadu_si256(static_cast<const __m256i *>(p))};
-    }
-    static VecB broadcast(int8_t x) { return {_mm256_set1_epi8(x)}; }
-    void store(void *p) const
-    {
-        _mm256_storeu_si256(static_cast<__m256i *>(p), v);
-    }
-};
-
-inline VecB maxI8(VecB a, VecB b) { return {_mm256_max_epi8(a.v, b.v)}; }
-inline VecB andB(VecB a, VecB b) { return {_mm256_and_si256(a.v, b.v)}; }
-inline VecB xorB(VecB a, VecB b) { return {_mm256_xor_si256(a.v, b.v)}; }
-inline VecB subI8(VecB a, VecB b) { return {_mm256_sub_epi8(a.v, b.v)}; }
-
-/** Per-byte logical shift right by 4 (the high-nibble extract). x86 has
- *  no per-byte shift, so shift 16-bit lanes and mask the bits that
- *  crossed byte boundaries. */
-inline VecB
-srl4(VecB a)
-{
-    return {_mm256_and_si256(_mm256_srli_epi16(a.v, 4),
-                             _mm256_set1_epi8(0x0F))};
-}
-
-/** Convert kWidth f32 lanes (already clamped into int8 range) to int8
- *  and store to p[0..kWidth). Rounds to nearest-even via CVTPS2DQ,
- *  matching the scalar reference's std::nearbyintf under the default
- *  rounding mode; the saturating packs are exact for pre-clamped
- *  values. */
-inline void
-cvtF32ToI8(VecF x, int8_t *p)
-{
-    __m256i i = _mm256_cvtps_epi32(x.v);
-    __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(i),
-                                _mm256_extracti128_si256(i, 1));
-    __m128i b = _mm_packs_epi16(w, w);
-    _mm_storel_epi64(reinterpret_cast<__m128i *>(p), b);
-}
-
-#elif defined(MESORASI_SIMD_SSE2)
-
-inline constexpr int kWidthB = 16;
-
-struct VecB
-{
-    __m128i v;
-
-    static VecB load(const void *p)
-    {
-        return {_mm_loadu_si128(static_cast<const __m128i *>(p))};
-    }
-    static VecB broadcast(int8_t x) { return {_mm_set1_epi8(x)}; }
-    void store(void *p) const
-    {
-        _mm_storeu_si128(static_cast<__m128i *>(p), v);
-    }
-};
-
-/** Signed byte max. SSE2 only has the unsigned PMAXUB, so bias both
- *  operands by 0x80 (flipping the sign bit maps signed order onto
- *  unsigned order) and bias the result back. */
-inline VecB
-maxI8(VecB a, VecB b)
-{
-    __m128i bias = _mm_set1_epi8(static_cast<char>(0x80));
-    return {_mm_xor_si128(_mm_max_epu8(_mm_xor_si128(a.v, bias),
-                                       _mm_xor_si128(b.v, bias)),
-                          bias)};
-}
-
-inline VecB andB(VecB a, VecB b) { return {_mm_and_si128(a.v, b.v)}; }
-inline VecB xorB(VecB a, VecB b) { return {_mm_xor_si128(a.v, b.v)}; }
-inline VecB subI8(VecB a, VecB b) { return {_mm_sub_epi8(a.v, b.v)}; }
-
-inline VecB
-srl4(VecB a)
-{
-    return {_mm_and_si128(_mm_srli_epi16(a.v, 4), _mm_set1_epi8(0x0F))};
-}
-
-inline void
-cvtF32ToI8(VecF x, int8_t *p)
-{
-    __m128i i = _mm_cvtps_epi32(x.v);
-    __m128i w = _mm_packs_epi32(i, i);
-    __m128i b = _mm_packs_epi16(w, w);
-    int32_t lo = _mm_cvtsi128_si32(b);
-    __builtin_memcpy(p, &lo, 4);
-}
-
-#elif defined(MESORASI_SIMD_NEON)
-
-inline constexpr int kWidthB = 16;
-
-struct VecB
-{
-    int8x16_t v;
-
-    static VecB load(const void *p)
-    {
-        return {vld1q_s8(static_cast<const int8_t *>(p))};
-    }
-    static VecB broadcast(int8_t x) { return {vdupq_n_s8(x)}; }
-    void store(void *p) const { vst1q_s8(static_cast<int8_t *>(p), v); }
-};
-
-inline VecB maxI8(VecB a, VecB b) { return {vmaxq_s8(a.v, b.v)}; }
-inline VecB andB(VecB a, VecB b) { return {vandq_s8(a.v, b.v)}; }
-inline VecB xorB(VecB a, VecB b) { return {veorq_s8(a.v, b.v)}; }
-inline VecB subI8(VecB a, VecB b) { return {vsubq_s8(a.v, b.v)}; }
-
-inline VecB
-srl4(VecB a)
-{
-    return {vreinterpretq_s8_u8(vshrq_n_u8(vreinterpretq_u8_s8(a.v), 4))};
-}
-
-inline void
-cvtF32ToI8(VecF x, int8_t *p)
-{
-#if defined(__aarch64__)
-    int32x4_t i = vcvtnq_s32_f32(x.v); // round to nearest-even
-#else
-    // ARMv7 NEON has no round-to-nearest convert; match the scalar
-    // reference lane by lane.
-    float lanes[4];
-    vst1q_f32(lanes, x.v);
-    int32x4_t i = {static_cast<int32_t>(__builtin_nearbyintf(lanes[0])),
-                   static_cast<int32_t>(__builtin_nearbyintf(lanes[1])),
-                   static_cast<int32_t>(__builtin_nearbyintf(lanes[2])),
-                   static_cast<int32_t>(__builtin_nearbyintf(lanes[3]))};
-#endif
-    int16x4_t w = vqmovn_s32(i);
-    int8x8_t b = vqmovn_s16(vcombine_s16(w, w));
-    int8_t tmp[8];
-    vst1_s8(tmp, b);
-    __builtin_memcpy(p, tmp, 4);
-}
-
-#else // MESORASI_SIMD_SCALAR
-
-inline constexpr int kWidthB = 1;
-
-struct VecB
-{
-    int8_t v;
-
-    static VecB load(const void *p)
-    {
-        return {*static_cast<const int8_t *>(p)};
-    }
-    static VecB broadcast(int8_t x) { return {x}; }
-    void store(void *p) const { *static_cast<int8_t *>(p) = v; }
-};
-
-inline VecB maxI8(VecB a, VecB b) { return {a.v > b.v ? a.v : b.v}; }
-inline VecB
-andB(VecB a, VecB b)
-{
-    return {static_cast<int8_t>(a.v & b.v)};
-}
-inline VecB
-xorB(VecB a, VecB b)
-{
-    return {static_cast<int8_t>(a.v ^ b.v)};
-}
-inline VecB
-subI8(VecB a, VecB b)
-{
-    return {static_cast<int8_t>(a.v - b.v)};
-}
-inline VecB
-srl4(VecB a)
-{
-    return {static_cast<int8_t>(static_cast<uint8_t>(a.v) >> 4)};
-}
-
-inline void
-cvtF32ToI8(VecF x, int8_t *p)
-{
-    *p = static_cast<int8_t>(
-        static_cast<int32_t>(__builtin_nearbyintf(x.v)));
-}
-
-#endif
-
-/** True when the vector kernels should run: compiled lane width > 1 and
- *  the runtime force-scalar flag is off. Hot kernels test this once per
- *  call and fall back to their scalar reference loops otherwise. */
-inline bool
-enabled()
-{
-    return kWidth > 1 && !forceScalar();
-}
-
-/** Effective lane width of the kernels as currently dispatched
- *  (1 when forced scalar) — recorded in BENCH json params. */
-inline int
-width()
-{
-    return enabled() ? kWidth : 1;
-}
+inline constexpr DispatchedIsaName kIsa{};
+inline constexpr DispatchedWidth kWidth{};
 
 } // namespace mesorasi::simd

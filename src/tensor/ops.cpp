@@ -6,12 +6,11 @@
 
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
+#include "tensor/ops_kernels.hpp"
 
 namespace mesorasi::tensor {
 
 namespace {
-
-using simd::VecF;
 
 /** Rows-per-chunk grain so small products stay serial: splitting a
  *  matmul pays off only once each thread gets ~1M MACs. */
@@ -23,21 +22,35 @@ matmulGrain(int64_t flopsPerRow)
                                     std::max<int64_t>(1, flopsPerRow));
 }
 
+/** The vector copy simd::isa() names, or null for the scalar oracles.
+ *  Entry points read it once per call. */
+const kernels::Table *
+vectorKernels()
+{
+    switch (simd::isa()) {
+#if MESORASI_SIMD_SSE2
+    case simd::Isa::Sse2:
+        return &kernels::sse2::kTable;
+#endif
+#if MESORASI_SIMD_AVX2
+    case simd::Isa::Avx2:
+        return &kernels::avx2::kTable;
+#endif
+#if MESORASI_SIMD_NEON
+    case simd::Isa::Neon:
+        return &kernels::neon::kTable;
+#endif
+    default:
+        return nullptr;
+    }
+}
+
 // ---------------------------------------------------------------------
-// Matmul kernels: one scalar oracle and one SIMD kernel, both reading B
-// through a MatrixView (row-major or column panels).
-//
-// Both accumulate every output element c[r][j] as sum_k a[r][k] *
-// b[k][j] in ascending-k order with mul+add (no FMA) from a +0.0f seed.
-// The oracle skips every k where a[r][k] == 0. The SIMD kernel keeps
-// that skip on single-row tiles and whenever B may hold a non-finite
-// value; its multi-row tiles over a finite B add the product instead.
-// That is exact: under round-to-nearest a sum seeded with +0 can never
-// become -0, so adding 0 * w = +-0 for a finite w leaves every
-// accumulator bit unchanged, NaN and +-Inf included. A non-finite w
-// would make 0 * w NaN, hence the skip there. Vector lanes across j
-// are independent elements and register blocking across rows shares
-// only the B loads, so the kernel is bitwise identical to the oracle.
+// Matmul: one scalar oracle here, and one SIMD kernel per ISA
+// (ops_kernels.cpp), both reading B through a MatrixView (row-major or
+// column panels). Both accumulate every output element c[r][j] as
+// sum_k a[r][k] * b[k][j] in ascending-k order with mul+add (no FMA)
+// from a +0.0f seed, so they are bitwise identical (see matmulInto).
 // ---------------------------------------------------------------------
 
 /** Scalar oracle: crow must be zeroed. Panel by panel, so a packed B
@@ -60,166 +73,56 @@ matmulRowScalar(float *crow, const float *arow, const MatrixView &b)
     }
 }
 
-/**
- * One register tile: R rows x TJ vectors of one panel, accumulated in
- * registers over all of K, each B load shared by the R rows. @p Skip
- * keeps the per-row zero test. R=2 x TJ=4 holds 8 accumulators and 4 B
- * vectors, which fits the 16 vector registers of SSE2 and AVX2.
- */
-template <int R, int TJ, bool Skip>
-inline void
-panelTile(float *const crow[R], const float *const arow[R],
-          const float *b, int64_t kStride, int32_t K)
-{
-    constexpr int W = simd::kWidth;
-    VecF acc[R][TJ];
-    for (int r = 0; r < R; ++r)
-        for (int t = 0; t < TJ; ++t)
-            acc[r][t] = VecF::zero();
-    for (int32_t k = 0; k < K; ++k, b += kStride) {
-        VecF bv[TJ];
-        for (int t = 0; t < TJ; ++t)
-            bv[t] = VecF::load(b + t * W);
-        for (int r = 0; r < R; ++r) {
-            float av = arow[r][k];
-            if (Skip && av == 0.0f)
-                continue;
-            VecF v = VecF::broadcast(av);
-            for (int t = 0; t < TJ; ++t)
-                acc[r][t] = add(acc[r][t], mul(v, bv[t]));
-        }
-    }
-    for (int r = 0; r < R; ++r)
-        for (int t = 0; t < TJ; ++t)
-            acc[r][t].store(crow[r] + t * W);
-}
-
-/** R rows against the panel holding columns [j0, j0 + P): one full
- *  4-vector tile, or on a narrower last panel 1-vector tiles and then
- *  a scalar column tail (same per-element mul+add sequence). */
-template <int R, bool Skip>
-inline void
-panelRows(float *dst, int64_t dstStride, const float *a, int64_t aStride,
-          const MatrixView &b, int32_t j0)
-{
-    constexpr int W = simd::kWidth;
-    const float *arow[R];
-    float *crow[R];
-    for (int r = 0; r < R; ++r) {
-        arow[r] = a + static_cast<int64_t>(r) * aStride;
-        crow[r] = dst + static_cast<int64_t>(r) * dstStride + j0;
-    }
-    const float *panel = b.panel(j0 / kPanelWidth);
-    const int32_t width = std::min(kPanelWidth, b.cols - j0);
-    if (width == kPanelWidth) {
-        panelTile<R, 4, Skip>(crow, arow, panel, b.kStride, b.rows);
-        return;
-    }
-    int32_t j = 0;
-    for (; j + W <= width; j += W) {
-        float *c[R];
-        for (int r = 0; r < R; ++r)
-            c[r] = crow[r] + j;
-        panelTile<R, 1, Skip>(c, arow, panel + j, b.kStride, b.rows);
-    }
-    for (; j < width; ++j) {
-        for (int r = 0; r < R; ++r) {
-            float acc = 0.0f;
-            for (int32_t k = 0; k < b.rows; ++k) {
-                float av = arow[r][k];
-                if (av == 0.0f)
-                    continue;
-                acc += av * panel[k * b.kStride + j];
-            }
-            crow[r][j] = acc;
-        }
-    }
-}
-
-/**
- * SIMD body. The loop order goes with the tiles. Branchless tiles (a
- * finite B) run panel-outer: each panel stays cache-resident while
- * every row pair of the block runs against it, so B streams in once.
- * Skipping tiles run row-outer, as the pre-packing kernel did: a row
- * pair's zero pattern then replays across every panel, which the branch
- * predictor learns; panel-outer, the same skip ran about 2x slower. A
- * leftover odd row takes a 1-row skipping tile either way.
- */
-void
-matmulRowsSimd(float *dst, int64_t dstStride, const float *a,
-               int64_t aStride, int32_t rows, const MatrixView &b)
-{
-    auto tile = [&](int32_t r, int32_t j0) {
-        float *d = dst + static_cast<int64_t>(r) * dstStride;
-        const float *s = a + static_cast<int64_t>(r) * aStride;
-        if (r + 1 == rows)
-            panelRows<1, true>(d, dstStride, s, aStride, b, j0);
-        else if (b.finite)
-            panelRows<2, false>(d, dstStride, s, aStride, b, j0);
-        else
-            panelRows<2, true>(d, dstStride, s, aStride, b, j0);
-    };
-    if (b.finite) {
-        for (int32_t j0 = 0; j0 < b.cols; j0 += kPanelWidth)
-            for (int32_t r = 0; r < rows; r += 2)
-                tile(r, j0);
-    } else {
-        for (int32_t r = 0; r < rows; r += 2)
-            for (int32_t j0 = 0; j0 < b.cols; j0 += kPanelWidth)
-                tile(r, j0);
-    }
-}
-
-/** Shared strided-block body of every matmul entry point:
- *  width-dispatched between the SIMD kernel and the scalar oracle. */
+/** Shared strided-block body of every matmul entry point: the vector
+ *  kernel covers all columns but a last few, which (like every column
+ *  when forced scalar) the oracle computes. */
 void
 matmulRowsInto(float *dst, int64_t dstStride, const float *a,
                int64_t aStride, int32_t rows, const MatrixView &b)
 {
-    if (simd::enabled()) {
-        matmulRowsSimd(dst, dstStride, a, aStride, rows, b);
+    const kernels::Table *k = vectorKernels();
+    const int32_t c0 = k ? k->matmul(dst, dstStride, a, aStride, rows, b) : 0;
+    if (c0 == b.cols)
         return;
-    }
+    // The tail lies inside one panel (c0 is a multiple of a lane width
+    // that divides kPanelWidth), or c0 is 0.
+    MatrixView tail = b;
+    tail.data = b.panel(c0 / kPanelWidth) + c0 % kPanelWidth;
+    tail.cols = b.cols - c0;
     for (int32_t r = 0; r < rows; ++r) {
-        float *crow = dst + static_cast<int64_t>(r) * dstStride;
-        std::fill(crow, crow + b.cols, 0.0f);
-        matmulRowScalar(crow, a + static_cast<int64_t>(r) * aStride, b);
+        float *crow = dst + static_cast<int64_t>(r) * dstStride + c0;
+        std::fill(crow, crow + tail.cols, 0.0f);
+        matmulRowScalar(crow, a + static_cast<int64_t>(r) * aStride, tail);
     }
 }
 
-// ---------------------------------------------------------------------
-// Column-wise max helpers. maxOrdered replicates std::max bit-for-bit
-// (NaN on the right is dropped, NaN on the left propagates), so the
-// reduce kernels keep their NaN-propagation contract in both paths.
-// ---------------------------------------------------------------------
-
-/** dst[c] = std::max(dst[c], src[c]) for c in [0, cols). The vector
- *  loop is unrolled 4 wide so its loop overhead matches what the
- *  compiler gives the scalar reference. */
+/** dst[c] = std::max(dst[c], src[c]) for c in [0, cols), with @p k's
+ *  vector loop (if any) over the leading columns. maxOrdered replicates
+ *  std::max bit-for-bit (NaN on the right is dropped, NaN on the left
+ *  propagates), so the reduce kernels keep their NaN-propagation
+ *  contract in every path. */
 inline void
-maxIntoRow(float *dst, const float *src, int32_t cols)
+maxIntoRow(const kernels::Table *k, float *dst, const float *src,
+           int32_t cols)
 {
-    int32_t c = 0;
-    if (simd::enabled()) {
-        constexpr int W = simd::kWidth;
-        for (; c + 4 * W <= cols; c += 4 * W) {
-            maxOrdered(VecF::load(dst + c), VecF::load(src + c))
-                .store(dst + c);
-            maxOrdered(VecF::load(dst + c + W), VecF::load(src + c + W))
-                .store(dst + c + W);
-            maxOrdered(VecF::load(dst + c + 2 * W),
-                       VecF::load(src + c + 2 * W))
-                .store(dst + c + 2 * W);
-            maxOrdered(VecF::load(dst + c + 3 * W),
-                       VecF::load(src + c + 3 * W))
-                .store(dst + c + 3 * W);
-        }
-        for (; c + W <= cols; c += W)
-            maxOrdered(VecF::load(dst + c), VecF::load(src + c))
-                .store(dst + c);
-    }
-    for (; c < cols; ++c)
+    for (int32_t c = k ? k->maxIntoRow(dst, src, cols) : 0; c < cols; ++c)
         dst[c] = std::max(dst[c], src[c]);
+}
+
+/** row[c] = max(0, row[c] + bias[c]), either part optional. */
+inline void
+biasReluRow(const kernels::Table *k, float *row, int64_t cols,
+            const float *bias, bool applyRelu)
+{
+    for (int64_t c = k ? k->biasRelu(row, cols, bias, applyRelu) : 0;
+         c < cols; ++c) {
+        float v = row[c];
+        if (bias)
+            v += bias[c];
+        if (applyRelu)
+            v = std::max(0.0f, v);
+        row[c] = v;
+    }
 }
 
 } // namespace
@@ -303,15 +206,9 @@ reluInPlace(Tensor &x)
     float *d = x.data();
     ThreadPool::global().parallelFor(
         x.numel(), /*grain=*/1 << 20,
-        [&](int64_t begin, int64_t end) {
-            int64_t i = begin;
-            if (simd::enabled()) {
-                constexpr int W = simd::kWidth;
-                for (; i + W <= end; i += W)
-                    simd::relu(VecF::load(d + i)).store(d + i);
-            }
-            for (; i < end; ++i)
-                d[i] = std::max(0.0f, d[i]);
+        [&, k = vectorKernels()](int64_t begin, int64_t end) {
+            biasReluRow(k, d + begin, end - begin, nullptr,
+                        /*applyRelu=*/true);
         });
 }
 
@@ -327,29 +224,10 @@ void
 biasReluBlockInPlace(float *dst, int64_t stride, int32_t rows,
                      int32_t cols, const float *bias, bool applyRelu)
 {
-    for (int32_t r = 0; r < rows; ++r) {
-        float *row = dst + static_cast<int64_t>(r) * stride;
-        int32_t c = 0;
-        if (simd::enabled()) {
-            constexpr int W = simd::kWidth;
-            for (; c + W <= cols; c += W) {
-                VecF v = VecF::load(row + c);
-                if (bias)
-                    v = add(v, VecF::load(bias + c));
-                if (applyRelu)
-                    v = simd::relu(v);
-                v.store(row + c);
-            }
-        }
-        for (; c < cols; ++c) {
-            float v = row[c];
-            if (bias)
-                v += bias[c];
-            if (applyRelu)
-                v = std::max(0.0f, v);
-            row[c] = v;
-        }
-    }
+    const kernels::Table *k = vectorKernels();
+    for (int32_t r = 0; r < rows; ++r)
+        biasReluRow(k, dst + static_cast<int64_t>(r) * stride, cols, bias,
+                    applyRelu);
 }
 
 void
@@ -370,17 +248,13 @@ batchNormInPlace(Tensor &x, const Tensor &gamma, const Tensor &beta,
         scale[c] = gamma(0, c) * inv;
         shift[c] = beta(0, c) - mean(0, c) * scale[c];
     }
+    const kernels::Table *k = vectorKernels();
     for (int32_t r = 0; r < x.rows(); ++r) {
         float *row = x.row(r);
-        int32_t c = 0;
-        if (simd::enabled()) {
-            constexpr int W = simd::kWidth;
-            for (; c + W <= x.cols(); c += W)
-                add(mul(VecF::load(row + c), VecF::load(&scale[c])),
-                    VecF::load(&shift[c]))
-                    .store(row + c);
-        }
-        for (; c < x.cols(); ++c)
+        for (int32_t c = k ? k->scaleShift(row, scale.data(), shift.data(),
+                                           x.cols())
+                           : 0;
+             c < x.cols(); ++c)
             row[c] = row[c] * scale[c] + shift[c];
     }
 }
@@ -390,9 +264,8 @@ maxReduceRows(const Tensor &x)
 {
     MESO_REQUIRE(x.rows() > 0, "max-reduce of empty tensor");
     Tensor out(1, x.cols());
-    std::copy(x.row(0), x.row(0) + x.cols(), out.row(0));
-    for (int32_t r = 1; r < x.rows(); ++r)
-        maxIntoRow(out.row(0), x.row(r), x.cols());
+    maxReduceAllRowsInto(out.row(0), x.data(), x.cols(), x.cols(),
+                         x.rows());
     return out;
 }
 
@@ -402,9 +275,10 @@ maxReduceRows(const Tensor &x, const std::vector<int32_t> &rows)
     MESO_REQUIRE(!rows.empty(), "max-reduce over no rows");
     Tensor out(1, x.cols());
     out.fill(-std::numeric_limits<float>::infinity());
+    const kernels::Table *k = vectorKernels();
     for (int32_t r : rows) {
         MESO_REQUIRE(r >= 0 && r < x.rows(), "row " << r);
-        maxIntoRow(out.row(0), x.row(r), x.cols());
+        maxIntoRow(k, out.row(0), x.row(r), x.cols());
     }
     return out;
 }
@@ -434,8 +308,9 @@ maxReduceRowsInto(float *dst, const float *src, int64_t stride,
     // the bitwise-parity contract unconditional.
     std::fill(dst, dst + cols,
               -std::numeric_limits<float>::infinity());
+    const kernels::Table *k = vectorKernels();
     for (int32_t r = 0; r < numRows; ++r)
-        maxIntoRow(dst, src + static_cast<int64_t>(r) * stride, cols);
+        maxIntoRow(k, dst, src + static_cast<int64_t>(r) * stride, cols);
 }
 
 void
@@ -447,8 +322,9 @@ maxReduceAllRowsInto(float *dst, const float *src, int64_t stride,
                                   << stride << " < " << cols);
     // First-row seed, exactly like maxReduceRows(x).
     std::copy(src, src + cols, dst);
+    const kernels::Table *k = vectorKernels();
     for (int32_t r = 1; r < numRows; ++r)
-        maxIntoRow(dst, src + static_cast<int64_t>(r) * stride, cols);
+        maxIntoRow(k, dst, src + static_cast<int64_t>(r) * stride, cols);
 }
 
 void
@@ -466,6 +342,7 @@ gatherMaxReduceInto(float *dst, const float *src, int64_t stride,
                     int32_t count)
 {
     MESO_REQUIRE(count > 0, "gather-reduce over no rows");
+    const kernels::Table *k = vectorKernels();
     for (int32_t i = 0; i < count; ++i) {
         MESO_REQUIRE(rows[i] >= 0 && rows[i] < srcRows,
                      "gather index " << rows[i] << " of " << srcRows);
@@ -473,7 +350,7 @@ gatherMaxReduceInto(float *dst, const float *src, int64_t stride,
         if (i == 0)
             std::copy(row, row + cols, dst);
         else
-            maxIntoRow(dst, row, cols);
+            maxIntoRow(k, dst, row, cols);
     }
 }
 
@@ -482,8 +359,6 @@ gatherMaxReduceInto(float *dst, const float *src, int64_t stride,
 // ---------------------------------------------------------------------
 
 namespace {
-
-using simd::VecB;
 
 /** Sign-extend a two's-complement nibble n in [0, 15] to int8. */
 inline int8_t
@@ -498,22 +373,11 @@ nibbleToI8(uint8_t n)
  *  minOrdered(lim, maxOrdered(-lim, t)) agree bitwise, including
  *  NaN -> -lim. */
 inline void
-quantizeRowI8(int8_t *dst, const float *src, int32_t cols,
-              float invScale, float lim)
+quantizeRowI8(const kernels::Table *k, int8_t *dst, const float *src,
+              int32_t cols, float invScale, float lim)
 {
-    int32_t c = 0;
-    if (simd::enabled()) {
-        constexpr int W = simd::kWidth;
-        VecF vinv = VecF::broadcast(invScale);
-        VecF vlo = VecF::broadcast(-lim);
-        VecF vhi = VecF::broadcast(lim);
-        for (; c + W <= cols; c += W) {
-            VecF t = mul(VecF::load(src + c), vinv);
-            t = minOrdered(vhi, maxOrdered(vlo, t));
-            simd::cvtF32ToI8(t, dst + c);
-        }
-    }
-    for (; c < cols; ++c) {
+    for (int32_t c = k ? k->quantizeRowI8(dst, src, cols, invScale, lim) : 0;
+         c < cols; ++c) {
         float t = src[c] * invScale;
         t = std::min(lim, std::max(-lim, t));
         dst[c] = static_cast<int8_t>(
@@ -535,8 +399,9 @@ quantizeRowsI8(int8_t *dst, int64_t dstStride, const float *src,
                                            << srcStride << " for "
                                            << cols << " cols");
     float invScale = 1.0f / scale;
+    const kernels::Table *k = vectorKernels();
     for (int64_t r = 0; r < rows; ++r)
-        quantizeRowI8(dst + r * dstStride, src + r * srcStride, cols,
+        quantizeRowI8(k, dst + r * dstStride, src + r * srcStride, cols,
                       invScale, 127.0f);
 }
 
@@ -557,12 +422,13 @@ quantizeRowsI4(uint8_t *dst, int64_t dstStrideBytes, const float *src,
     // dominates; the integer pack is exact in any form.
     constexpr int32_t kChunk = 64;
     int8_t tmp[kChunk + 1];
+    const kernels::Table *k = vectorKernels();
     for (int64_t r = 0; r < rows; ++r) {
         const float *s = src + r * srcStride;
         uint8_t *d = dst + r * dstStrideBytes;
         for (int32_t c = 0; c < cols; c += kChunk) {
             int32_t n = std::min(kChunk, cols - c);
-            quantizeRowI8(tmp, s + c, n, invScale, 7.0f);
+            quantizeRowI8(k, tmp, s + c, n, invScale, 7.0f);
             if (n & 1)
                 tmp[n] = 0; // odd trailing column: high nibble stays 0
             for (int32_t j = 0; j < n; j += 2)
@@ -601,30 +467,11 @@ gatherMaxReduceI8Into(float *dst, const int8_t *src, int64_t stride,
     for (int32_t i = 0; i < count; ++i)
         MESO_REQUIRE(rows[i] >= 0 && rows[i] < srcRows,
                      "gather index " << rows[i] << " of " << srcRows);
-    int32_t c = 0;
-    if (simd::enabled()) {
-        // Column tiles held in a register accumulator across the row
-        // loop: int8 max is exact, so the transposed traversal is
-        // bitwise equal to the scalar column loop below. Every int8
-        // value is exactly representable in f32, so the single
-        // dequantize per output element agrees too.
-        constexpr int B = simd::kWidthB;
-        int8_t tmp[simd::kWidthB];
-        for (; c + B <= cols; c += B) {
-            VecB acc = VecB::load(
-                src + static_cast<int64_t>(rows[0]) * stride + c);
-            for (int32_t i = 1; i < count; ++i)
-                acc = maxI8(
-                    acc,
-                    VecB::load(src +
-                               static_cast<int64_t>(rows[i]) * stride +
-                               c));
-            acc.store(tmp);
-            for (int32_t e = 0; e < B; ++e)
-                dst[c + e] = static_cast<float>(tmp[e]) * scale;
-        }
-    }
-    for (; c < cols; ++c) {
+    const kernels::Table *k = vectorKernels();
+    for (int32_t c = k ? k->gatherMaxI8(dst, src, stride, cols, rows, count,
+                                        scale)
+                       : 0;
+         c < cols; ++c) {
         int8_t m = src[static_cast<int64_t>(rows[0]) * stride + c];
         for (int32_t i = 1; i < count; ++i)
             m = std::max(
@@ -646,39 +493,11 @@ gatherMaxReduceI4Into(float *dst, const uint8_t *src, int64_t strideBytes,
     for (int32_t i = 0; i < count; ++i)
         MESO_REQUIRE(rows[i] >= 0 && rows[i] < srcRows,
                      "gather index " << rows[i] << " of " << srcRows);
-    int32_t cb = 0; // byte column (covers output columns 2cb, 2cb+1)
-    if (simd::enabled()) {
-        // Each loaded byte carries two columns: accumulate low and high
-        // nibble planes separately (sign-extend n via (n ^ 8) - 8 in
-        // the byte domain), dequantize once per output element.
-        constexpr int B = simd::kWidthB;
-        const int32_t fullBytes = cols / 2;
-        VecB mask = VecB::broadcast(0x0F);
-        VecB bias = VecB::broadcast(8);
-        int8_t lo[simd::kWidthB], hi[simd::kWidthB];
-        for (; cb + B <= fullBytes; cb += B) {
-            auto sx = [&](VecB n) { return subI8(xorB(n, bias), bias); };
-            const uint8_t *r0 =
-                src + static_cast<int64_t>(rows[0]) * strideBytes + cb;
-            VecB b0 = VecB::load(r0);
-            VecB accLo = sx(andB(b0, mask));
-            VecB accHi = sx(srl4(b0));
-            for (int32_t i = 1; i < count; ++i) {
-                VecB b = VecB::load(
-                    src + static_cast<int64_t>(rows[i]) * strideBytes +
-                    cb);
-                accLo = maxI8(accLo, sx(andB(b, mask)));
-                accHi = maxI8(accHi, sx(srl4(b)));
-            }
-            accLo.store(lo);
-            accHi.store(hi);
-            for (int32_t e = 0; e < B; ++e) {
-                dst[2 * (cb + e)] = static_cast<float>(lo[e]) * scale;
-                dst[2 * (cb + e) + 1] =
-                    static_cast<float>(hi[e]) * scale;
-            }
-        }
-    }
+    // The vector kernel covers whole bytes (output columns 2cb, 2cb+1).
+    const kernels::Table *k = vectorKernels();
+    const int32_t cb = k ? k->gatherMaxI4(dst, src, strideBytes, cols, rows,
+                                          count, scale)
+                         : 0;
     for (int32_t c = 2 * cb; c < cols; ++c) {
         int32_t byteIdx = c >> 1;
         auto nib = [&](int32_t row) {
@@ -739,16 +558,11 @@ subtractRowInPlace(Tensor &x, const Tensor &sub)
                  "subtract row " << sub.shapeStr() << " from "
                                  << x.shapeStr());
     const float *s = sub.row(0);
+    const kernels::Table *k = vectorKernels();
     for (int32_t r = 0; r < x.rows(); ++r) {
         float *row = x.row(r);
-        int32_t c = 0;
-        if (simd::enabled()) {
-            constexpr int W = simd::kWidth;
-            for (; c + W <= x.cols(); c += W)
-                simd::sub(VecF::load(row + c), VecF::load(s + c))
-                    .store(row + c);
-        }
-        for (; c < x.cols(); ++c)
+        for (int32_t c = k ? k->subtractRow(row, s, x.cols()) : 0;
+             c < x.cols(); ++c)
             row[c] -= s[c];
     }
 }

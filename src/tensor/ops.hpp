@@ -110,18 +110,21 @@ void gatherMaxReduceInto(float *dst, const float *src, int64_t stride,
  * must be >= the respective logical widths. Serial: it is the body of
  * already parallelized row-chunk loops, and allocates nothing.
  *
- * Kernel contract. There is one SIMD kernel and one scalar oracle (the
- * forced-scalar path), and they are bitwise identical. Both sum every
- * output element over ascending k with mul then add, from +0. The
- * oracle skips k where a[r][k] == 0. The SIMD kernel works in 2-row x
- * 4-vector register tiles, one column panel wide. When @p b is finite
+ * Kernel contract. There is one SIMD kernel, compiled once per ISA and
+ * picked at runtime (common/simd.hpp), and one scalar oracle (the
+ * forced-scalar path), and they are bitwise identical at every width.
+ * All sum every output element over ascending k with mul then add,
+ * from +0. The oracle skips k where a[r][k] == 0; it also computes the
+ * last b.cols mod width columns for the SIMD kernel. The SIMD kernel
+ * works in 2-row x 4-vector register tiles, in panel-wide steps (one
+ * tile per 32-wide panel on AVX2, two on SSE2). When @p b is finite
  * those tiles drop the zero skip and run panel-outer, so each panel
  * stays cache-resident while every row pair runs against it. Dropping
  * the skip is exact: a sum seeded with +0 never becomes -0 under
  * round-to-nearest, so adding 0 * w = +-0 for a finite w changes no
- * accumulator bit. Single-row tiles, scalar column tails and every
- * tile of a non-finite view keep the skip, so 0 * Inf and 0 * NaN
- * never enter a sum in either path; a non-finite view runs row-outer,
+ * accumulator bit. Single-row tiles, the oracle's column tails and
+ * every tile of a non-finite view keep the skip, so 0 * Inf and 0 * NaN
+ * never enter a sum in any path; a non-finite view runs row-outer,
  * where a row pair's zero pattern repeats across the panels and the
  * branch predictor learns it.
  */
@@ -161,8 +164,8 @@ void biasReluBlockInPlace(float *dst, int64_t stride, int32_t rows,
 // packed int4 (8x): max commutes with the monotone affine quantizer
 // q(x) = clamp(round(x / scale)), so the column max is taken in the
 // integer domain and dequantized once per output element. Integer max
-// is exact, so SIMD and forced-scalar paths are bitwise identical
-// (tests/test_quant.cpp memcmp parity); scales are produced by the
+// is exact, so every SIMD copy and the forced-scalar path are bitwise
+// identical (tests/test_quant.cpp memcmp parity); scales come from the
 // calibration pass (quant/calibrate.hpp).
 
 /**

@@ -3,8 +3,9 @@
  * Column-panel storage for the right-hand factor of a matmul.
  *
  * Every F step multiplies activation rows by a weight matrix B (K x N).
- * The SIMD kernel (tensor/ops.hpp) holds a register tile of a few rows
- * by one panel of P = kPanelWidth columns and walks all of K. Stored
+ * The SIMD kernel (tensor/ops.hpp) holds register tiles of a few rows
+ * by one panel of P = kPanelWidth columns (one tile on AVX2, two
+ * narrower ones on SSE2) and walks all of K. Stored
  * row-major, that walk reads B in P-float slices N floats apart, so a
  * large weight is re-streamed from far caches for every tile. A
  * PanelMatrix instead stores B as ceil(N / P) column panels of K x P
@@ -29,10 +30,12 @@
 
 namespace mesorasi::tensor {
 
-/** Panel width P in floats: four vector registers (16 on SSE2 and NEON,
- *  32 on AVX2, 4 in a scalar build), the column width of the kernel's
- *  register tile. */
-inline constexpr int32_t kPanelWidth = 4 * simd::kWidth;
+/** Panel width P in floats: four registers of the widest compiled lane
+ *  width (32 on x86-64, 16 on AArch64, 4 with no vector copy). It does
+ *  not depend on the dispatched copy, so weights are packed once and
+ *  every copy runs over the same panels: AVX2 covers a 32-wide panel
+ *  with one 4-register tile, SSE2 with two. */
+inline constexpr int32_t kPanelWidth = 4 * simd::kMaxWidth;
 
 /**
  * Read-only view of the right-hand factor B (K x N) of a matmul.

@@ -3,10 +3,10 @@
  * Quantized PFT datapath tests:
  *
  *  1. Kernel parity: quantizeRowsI8/I4 and gatherMaxReduceI8/I4Into are
- *     byte-for-byte identical between the SIMD and forced-scalar paths
- *     (integer max is exact, rounding is nearest-even in both, NaN
- *     clamps to the negative limit in both) across odd column counts,
- *     strided buffers, and saturating inputs.
+ *     byte-for-byte identical between the forced-scalar oracle and
+ *     every SIMD copy the host runs (integer max is exact, rounding is
+ *     nearest-even in all, NaN clamps to the negative limit in all)
+ *     across odd column counts, strided buffers, and saturating inputs.
  *  2. Quantizer semantics: grid values round-trip exactly; the int4
  *     nibble packing clamps to [-7, 7] and zeroes odd trailing high
  *     nibbles.
@@ -39,7 +39,6 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "core/networks.hpp"
 #include "core/plan/passes/pass.hpp"
 #include "core/plan/plan_compiler.hpp"
@@ -47,6 +46,7 @@
 #include "core/plan/step_ir.hpp"
 #include "geom/datasets.hpp"
 #include "quant/calibrate.hpp"
+#include "simd_parity.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 
@@ -58,12 +58,7 @@ using tensor::Tensor;
 
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 
-/** Restores the force-scalar flag even if an assertion throws. */
-struct ScalarGuard
-{
-    explicit ScalarGuard(bool force) { simd::setForceScalar(force); }
-    ~ScalarGuard() { simd::setForceScalar(false); }
-};
+using parity::expectParityAtEveryIsa;
 
 Tensor
 randomTensor(uint64_t seed, int32_t rows, int32_t cols, float lo = -2.0f,
@@ -249,7 +244,7 @@ TEST(QuantScale, RejectsNonFiniteRange)
     EXPECT_THROW(quantScaleFor(-1.0f, DType::I4), UsageError);
 }
 
-// --- Kernel parity (SIMD vs forced scalar, memcmp) ---------------------
+// --- Kernel parity (every SIMD copy vs forced scalar, memcmp) ----------
 
 TEST(QuantKernelParity, QuantizeRowsI8AcrossShapes)
 {
@@ -270,20 +265,14 @@ TEST(QuantKernelParity, QuantizeRowsI8AcrossShapes)
         int64_t dstStride = cols + 5;
         float scale = 3.0f / 127.0f;
 
-        std::vector<int8_t> scalar(rows * dstStride, 42);
-        std::vector<int8_t> simdOut = scalar;
-        {
-            ScalarGuard g(true);
-            tensor::quantizeRowsI8(scalar.data(), dstStride,
-                                   padded.data(), srcStride, rows, cols,
-                                   scale);
-        }
-        tensor::quantizeRowsI8(simdOut.data(), dstStride, padded.data(),
-                               srcStride, rows, cols, scale);
-        EXPECT_EQ(std::memcmp(scalar.data(), simdOut.data(),
-                              scalar.size()),
-                  0)
-            << cols << " cols";
+        std::vector<int8_t> scalar = expectParityAtEveryIsa(
+            [&] {
+                std::vector<int8_t> out(rows * dstStride, 42);
+                tensor::quantizeRowsI8(out.data(), dstStride, padded.data(),
+                                       srcStride, rows, cols, scale);
+                return out;
+            },
+            std::to_string(cols) + " cols");
         EXPECT_EQ(scalar[0], -127); // the NaN input
         EXPECT_EQ(scalar[1 * dstStride + cols / 2], 127);
         EXPECT_EQ(scalar[2 * dstStride + cols - 1], -127);
@@ -305,19 +294,14 @@ TEST(QuantKernelParity, QuantizeRowsI4AcrossShapes)
         int64_t strideBytes = (cols + 1) / 2 + 3;
         float scale = 1.0f / 7.0f;
 
-        std::vector<uint8_t> scalar(rows * strideBytes, 0xAB);
-        std::vector<uint8_t> simdOut = scalar;
-        {
-            ScalarGuard g(true);
-            tensor::quantizeRowsI4(scalar.data(), strideBytes,
-                                   src.data(), cols, rows, cols, scale);
-        }
-        tensor::quantizeRowsI4(simdOut.data(), strideBytes, src.data(),
-                               cols, rows, cols, scale);
-        EXPECT_EQ(std::memcmp(scalar.data(), simdOut.data(),
-                              scalar.size()),
-                  0)
-            << cols << " cols";
+        std::vector<uint8_t> scalar = expectParityAtEveryIsa(
+            [&] {
+                std::vector<uint8_t> out(rows * strideBytes, 0xAB);
+                tensor::quantizeRowsI4(out.data(), strideBytes, src.data(),
+                                       cols, rows, cols, scale);
+                return out;
+            },
+            std::to_string(cols) + " cols");
         // NaN clamps to -7 (two's-complement nibble 0b1001).
         EXPECT_EQ(scalar[0] & 0x0F, 9);
         if (cols % 2 == 1) { // odd trailing column: high nibble zeroed
@@ -342,20 +326,15 @@ TEST(QuantKernelParity, GatherMaxReduceI8AcrossShapes)
         rows.push_back(rows[0]); // duplicate index
         float scale = 0.037f;
 
-        std::vector<float> scalar(cols, -9.0f), simdOut(cols, -9.0f);
-        {
-            ScalarGuard g(true);
-            tensor::gatherMaxReduceI8Into(
-                scalar.data(), src.data(), stride, cols, srcRows,
-                rows.data(), static_cast<int32_t>(rows.size()), scale);
-        }
-        tensor::gatherMaxReduceI8Into(
-            simdOut.data(), src.data(), stride, cols, srcRows,
-            rows.data(), static_cast<int32_t>(rows.size()), scale);
-        EXPECT_EQ(std::memcmp(scalar.data(), simdOut.data(),
-                              scalar.size() * sizeof(float)),
-                  0)
-            << cols << " cols";
+        std::vector<float> scalar = expectParityAtEveryIsa(
+            [&] {
+                std::vector<float> out(cols, -9.0f);
+                tensor::gatherMaxReduceI8Into(
+                    out.data(), src.data(), stride, cols, srcRows,
+                    rows.data(), static_cast<int32_t>(rows.size()), scale);
+                return out;
+            },
+            std::to_string(cols) + " cols");
 
         // Against a plain reference: int max then one dequantize.
         for (int32_t c = 0; c < cols; ++c) {
@@ -386,20 +365,15 @@ TEST(QuantKernelParity, GatherMaxReduceI4AcrossShapes)
                 static_cast<int32_t>(rng.uniformInt(0, srcRows - 1)));
         float scale = 0.21f;
 
-        std::vector<float> scalar(cols), simdOut(cols);
-        {
-            ScalarGuard g(true);
-            tensor::gatherMaxReduceI4Into(
-                scalar.data(), src.data(), strideBytes, cols, srcRows,
-                rows.data(), static_cast<int32_t>(rows.size()), scale);
-        }
-        tensor::gatherMaxReduceI4Into(
-            simdOut.data(), src.data(), strideBytes, cols, srcRows,
-            rows.data(), static_cast<int32_t>(rows.size()), scale);
-        EXPECT_EQ(std::memcmp(scalar.data(), simdOut.data(),
-                              scalar.size() * sizeof(float)),
-                  0)
-            << cols << " cols";
+        std::vector<float> scalar = expectParityAtEveryIsa(
+            [&] {
+                std::vector<float> out(cols);
+                tensor::gatherMaxReduceI4Into(
+                    out.data(), src.data(), strideBytes, cols, srcRows,
+                    rows.data(), static_cast<int32_t>(rows.size()), scale);
+                return out;
+            },
+            std::to_string(cols) + " cols");
 
         // Reference: unpack nibbles (sign-extended), max, dequantize.
         auto nib = [&](int32_t r, int32_t c) {

@@ -1,13 +1,16 @@
 /**
  * @file
- * Bitwise parity suite for the portable SIMD kernel layer.
+ * Bitwise parity suite for the vector kernel copies and the ISA
+ * dispatch.
  *
- * The vector kernels (common/simd.hpp consumers) carry a hard
- * contract: byte-for-byte identical results to their forced-scalar
- * fallbacks — same accumulation order, mul+add instead of FMA, and
- * std::max's exact NaN / signed-zero semantics. Every test here runs
- * the same computation twice, once with simd::setForceScalar(true) and
- * once with the vector path, and memcmp's the outputs:
+ * The vector kernels carry a hard contract: byte-for-byte identical
+ * results to their scalar oracles at every lane width — same
+ * accumulation order, mul+add instead of FMA, and std::max's exact
+ * NaN / signed-zero semantics. Every parity test here runs the same
+ * computation forced scalar (the oracle) and then once on every vector
+ * copy the binary compiled and the host runs (simd::setIsa, via
+ * simd_parity.hpp), over the same inputs and packed panels, and
+ * memcmp's each result against the oracle:
  *
  *  - matmul / matmulInto over both B views (row-major and column
  *    panels) across odd (non-multiple-of-lane) column counts, odd K,
@@ -22,11 +25,13 @@
  *    generic-dimension fallback, and the query-blocked self-query
  *    kernel in every dimension, padded rows included);
  *  - all 3 neighbor backends, query-level and end-to-end through all 3
- *    pipelines of a ModuleExecutor.
+ *    pipelines of a ModuleExecutor, and the logits of compiled zoo
+ *    engines.
  *
- * Under a -DMESORASI_FORCE_SCALAR=1 build both paths are the scalar
- * one and the suite degenerates to self-consistency, which is exactly
- * what that CI leg is for.
+ * The SimdDispatch tests pin the selection rule itself. Under a
+ * -DMESORASI_FORCE_SCALAR=1 build no vector copy exists and the parity
+ * tests degenerate to self-consistency, which is exactly what that CI
+ * leg is for.
  */
 #include <gtest/gtest.h>
 
@@ -36,38 +41,30 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/workspace.hpp"
+#include "core/networks.hpp"
 #include "core/pipeline.hpp"
+#include "core/plan/plan_compiler.hpp"
+#include "geom/datasets.hpp"
 #include "geom/shapes.hpp"
 #include "neighbor/dist_batch.hpp"
 #include "neighbor/search_backend.hpp"
+#include "simd_parity.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 
 namespace mesorasi {
 namespace {
 
+using parity::expectParityAtEveryIsa;
+using parity::sameBytes;
 using tensor::Tensor;
 
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
-
-/** Restores the force-scalar flag even if an assertion throws. */
-struct ScalarGuard
-{
-    explicit ScalarGuard(bool force) { simd::setForceScalar(force); }
-    ~ScalarGuard() { simd::setForceScalar(false); }
-};
-
-bool
-bitwiseEqual(const Tensor &a, const Tensor &b)
-{
-    return a.rows() == b.rows() && a.cols() == b.cols() &&
-           std::memcmp(a.data(), b.data(),
-                       static_cast<size_t>(a.bytes())) == 0;
-}
 
 Tensor
 randomTensor(uint64_t seed, int32_t rows, int32_t cols, float lo = -2.0f,
@@ -107,9 +104,8 @@ struct BViews
     }
 };
 
-/** dst = a * b over strided blocks, forced scalar (the oracle) and with
- *  the SIMD kernel; memcmp of the whole strided destinations, padding
- *  included. */
+/** dst = a * b over strided blocks at every width; memcmp of the whole
+ *  strided destinations, padding included. */
 void
 expectMatmulParity(const Tensor &a, const tensor::MatrixView &b,
                    const std::string &what)
@@ -121,28 +117,25 @@ expectMatmulParity(const Tensor &a, const tensor::MatrixView &b,
     for (int32_t r = 0; r < rows; ++r)
         std::memcpy(&as[static_cast<size_t>(r * aStride)], a.row(r),
                     static_cast<size_t>(a.cols()) * sizeof(float));
-    std::vector<float> scalar(static_cast<size_t>(rows) * dstStride,
-                              -5.0f);
-    std::vector<float> simdOut = scalar;
-    {
-        ScalarGuard g(true);
-        tensor::matmulInto(scalar.data(), dstStride, as.data(), aStride,
-                           rows, b);
-    }
-    tensor::matmulInto(simdOut.data(), dstStride, as.data(), aStride, rows,
-                       b);
-    EXPECT_EQ(std::memcmp(scalar.data(), simdOut.data(),
-                          scalar.size() * sizeof(float)),
-              0)
-        << what;
+    expectParityAtEveryIsa(
+        [&] {
+            std::vector<float> dst(static_cast<size_t>(rows) * dstStride,
+                                   -5.0f);
+            tensor::matmulInto(dst.data(), dstStride, as.data(), aStride,
+                               rows, b);
+            return dst;
+        },
+        what);
 }
 
 TEST(SimdParity, MatmulAcrossShapesAndViews)
 {
-    // Odd column counts cover every panel tail (full panel, 1-vector
-    // tiles, scalar columns) at both lane widths; the row counts cover
-    // the 2-row tile remainder; K is odd.
-    const int32_t colCases[] = {1, 3, 5, 8, 17, 31, 32, 33, 40, 127, 128};
+    // Odd column counts cover every panel tail (full panel, 4-vector
+    // and 1-vector tiles of a narrower last panel, scalar columns) at
+    // every lane width; the row counts cover the 2-row tile remainder;
+    // K is odd.
+    const int32_t colCases[] = {1,  3,  5,  8,  16,  17, 31,
+                                32, 33, 40, 48, 127, 128};
     const int32_t rowCases[] = {1, 2, 3, 5, 7, 64};
     uint64_t seed = 100;
     for (int32_t m : colCases) {
@@ -159,15 +152,12 @@ TEST(SimdParity, MatmulAcrossShapesAndViews)
             expectMatmulParity(a, v.rowMajor, what + " row-major");
             expectMatmulParity(a, v.panels, what + " panels");
             // The Tensor overloads (zero skip on every tile) agree too.
-            Tensor scalar, simdOut;
-            {
-                ScalarGuard g(true);
-                scalar = tensor::matmul(a, b);
-            }
-            simdOut = tensor::matmul(a, b);
-            EXPECT_TRUE(bitwiseEqual(scalar, simdOut)) << what;
-            EXPECT_TRUE(bitwiseEqual(simdOut, tensor::matmul(a, v.panels)))
-                << what;
+            Tensor viaTensor = expectParityAtEveryIsa(
+                [&] { return tensor::matmul(a, b); }, what + " tensor");
+            Tensor viaPanels = expectParityAtEveryIsa(
+                [&] { return tensor::matmul(a, v.panels); },
+                what + " matmul(panels)");
+            EXPECT_TRUE(sameBytes(viaTensor, viaPanels)) << what;
         }
     }
 }
@@ -193,7 +183,8 @@ TEST(SimdParity, MatmulSignedZerosAndUnderflow)
     BViews v(b);
     expectMatmulParity(a, v.rowMajor, "row-major");
     expectMatmulParity(a, v.panels, "panels");
-    Tensor c = tensor::matmul(a, v.panels);
+    Tensor c = expectParityAtEveryIsa(
+        [&] { return tensor::matmul(a, v.panels); }, "matmul(panels)");
     for (int32_t j = 0; j < m; ++j)
         for (int32_t r : {0, 1, 2})
             EXPECT_FALSE(std::signbit(c(r, j))) << r << "," << j;
@@ -204,7 +195,7 @@ TEST(SimdParity, MatmulWithNonFiniteWeights)
     // The zero skip makes 0 * inf and 0 * NaN visible: skipping adds
     // nothing where a naive multiply would add NaN. A B holding +Inf,
     // -Inf or NaN is recorded non-finite when it is packed, so every
-    // tile keeps the skip and both paths stay identical.
+    // tile keeps the skip and every path stays identical.
     Tensor a = randomTensor(1, 9, 12);
     Tensor b = randomTensor(2, 12, 21);
     for (int32_t r = 0; r < a.rows(); ++r)
@@ -220,25 +211,23 @@ TEST(SimdParity, MatmulWithNonFiniteWeights)
     expectMatmulParity(a, v.rowMajor, "row-major");
     expectMatmulParity(a, v.panels, "panels");
 
-    Tensor scalar, simdOut;
-    {
-        ScalarGuard g(true);
-        scalar = tensor::matmul(a, b);
-    }
-    simdOut = tensor::matmul(a, v.panels);
-    EXPECT_TRUE(bitwiseEqual(scalar, simdOut));
+    Tensor viaTensor = expectParityAtEveryIsa(
+        [&] { return tensor::matmul(a, b); }, "matmul(tensor)");
+    Tensor viaPanels = expectParityAtEveryIsa(
+        [&] { return tensor::matmul(a, v.panels); }, "matmul(panels)");
+    EXPECT_TRUE(sameBytes(viaTensor, viaPanels));
     // Row 0 skips the Inf row of B: its column 5 stays finite, and row 4
     // skips the NaN: its column 2 too.
-    EXPECT_TRUE(std::isfinite(simdOut(0, 5)));
-    EXPECT_TRUE(std::isfinite(simdOut(4, 2)));
-    EXPECT_TRUE(std::isnan(simdOut(0, 2)));
+    EXPECT_TRUE(std::isfinite(viaPanels(0, 5)));
+    EXPECT_TRUE(std::isfinite(viaPanels(4, 2)));
+    EXPECT_TRUE(std::isnan(viaPanels(0, 2)));
 }
 
 // --- Reductions --------------------------------------------------------
 
 TEST(SimdParity, MaxReduceWithNanAndOddCols)
 {
-    for (int32_t cols : {1, 5, 16, 33, 130}) {
+    for (int32_t cols : {1, 5, 8, 16, 33, 130}) {
         Tensor x = randomTensor(10 + cols, 40, cols);
         // NaN in the middle of a later row: dropped (std::max keeps the
         // left operand on unordered compares).
@@ -247,43 +236,30 @@ TEST(SimdParity, MaxReduceWithNanAndOddCols)
         // which seeds from the first row.
         x(0, cols - 1) = kNan;
         x(3, 0) = -0.0f;
+        const std::vector<int32_t> rows{0, 3, 17, 17, 21};
+        const std::string what = "cols " + std::to_string(cols);
 
-        Tensor scalarAll, simdAll, scalarList, simdList;
-        std::vector<int32_t> rows{0, 3, 17, 17, 21};
-        {
-            ScalarGuard g(true);
-            scalarAll = tensor::maxReduceRows(x);
-            scalarList = tensor::maxReduceRows(x, rows);
-        }
-        simdAll = tensor::maxReduceRows(x);
-        simdList = tensor::maxReduceRows(x, rows);
-        EXPECT_TRUE(bitwiseEqual(scalarAll, simdAll)) << cols;
-        EXPECT_TRUE(bitwiseEqual(scalarList, simdList)) << cols;
-
+        Tensor all = expectParityAtEveryIsa(
+            [&] { return tensor::maxReduceRows(x); }, what + " all rows");
+        expectParityAtEveryIsa([&] { return tensor::maxReduceRows(x, rows); },
+                               what + " row list");
         // NaN actually propagated (sanity that the case is exercised).
-        EXPECT_TRUE(std::isnan(simdAll(0, cols - 1)));
+        EXPECT_TRUE(std::isnan(all(0, cols - 1)));
 
-        std::vector<float> scalarInto(cols), simdInto(cols);
-        {
-            ScalarGuard g(true);
-            tensor::maxReduceRowsInto(scalarInto.data(), x, 15, 10);
-        }
-        tensor::maxReduceRowsInto(simdInto.data(), x, 15, 10);
-        EXPECT_EQ(std::memcmp(scalarInto.data(), simdInto.data(),
-                              scalarInto.size() * sizeof(float)),
-                  0)
-            << cols;
-
-        std::vector<float> scalarGather(cols), simdGather(cols);
-        {
-            ScalarGuard g(true);
-            tensor::gatherMaxReduceInto(scalarGather.data(), x, rows);
-        }
-        tensor::gatherMaxReduceInto(simdGather.data(), x, rows);
-        EXPECT_EQ(std::memcmp(scalarGather.data(), simdGather.data(),
-                              scalarGather.size() * sizeof(float)),
-                  0)
-            << cols;
+        expectParityAtEveryIsa(
+            [&] {
+                std::vector<float> out(cols);
+                tensor::maxReduceRowsInto(out.data(), x, 15, 10);
+                return out;
+            },
+            what + " block");
+        expectParityAtEveryIsa(
+            [&] {
+                std::vector<float> out(cols);
+                tensor::gatherMaxReduceInto(out.data(), x, rows);
+                return out;
+            },
+            what + " gather");
     }
 }
 
@@ -292,18 +268,16 @@ TEST(SimdParity, GatherMaxReducePropagatesFirstRowNan)
     Tensor x = randomTensor(60, 8, 11);
     x(5, 4) = kNan;
     // Gathering row 5 first seeds the reduce with the NaN, which must
-    // then survive every later max in both paths.
+    // then survive every later max in every path.
     std::vector<int32_t> rows{5, 1, 2};
-    std::vector<float> scalar(x.cols()), simdOut(x.cols());
-    {
-        ScalarGuard g(true);
-        tensor::gatherMaxReduceInto(scalar.data(), x, rows);
-    }
-    tensor::gatherMaxReduceInto(simdOut.data(), x, rows);
-    EXPECT_TRUE(std::isnan(simdOut[4]));
-    EXPECT_EQ(std::memcmp(scalar.data(), simdOut.data(),
-                          scalar.size() * sizeof(float)),
-              0);
+    std::vector<float> out = expectParityAtEveryIsa(
+        [&] {
+            std::vector<float> dst(x.cols());
+            tensor::gatherMaxReduceInto(dst.data(), x, rows);
+            return dst;
+        },
+        "gather");
+    EXPECT_TRUE(std::isnan(out[4]));
 }
 
 // --- Elementwise epilogues ---------------------------------------------
@@ -321,27 +295,19 @@ TEST(SimdParity, BiasReluBatchnormSubtract)
         Tensor mean = randomTensor(74, 1, cols);
         Tensor var = randomTensor(75, 1, cols, 0.1f, 2.0f);
 
-        auto runAll = [&](Tensor x) {
-            tensor::addBiasInPlace(x, bias);
-            tensor::reluInPlace(x);
-            tensor::batchNormInPlace(x, gamma, beta, mean, var);
-            tensor::subtractRowInPlace(x, bias);
-            Tensor fusedEpilogue = x;
-            tensor::biasReluBlockInPlace(fusedEpilogue.data(),
-                                         fusedEpilogue.cols(),
-                                         fusedEpilogue.rows(),
-                                         fusedEpilogue.cols(),
-                                         bias.row(0),
-                                         /*applyRelu=*/true);
-            return fusedEpilogue;
-        };
-        Tensor scalar, simdOut;
-        {
-            ScalarGuard g(true);
-            scalar = runAll(base);
-        }
-        simdOut = runAll(base);
-        EXPECT_TRUE(bitwiseEqual(scalar, simdOut)) << cols;
+        expectParityAtEveryIsa(
+            [&] {
+                Tensor x = base;
+                tensor::addBiasInPlace(x, bias);
+                tensor::reluInPlace(x);
+                tensor::batchNormInPlace(x, gamma, beta, mean, var);
+                tensor::subtractRowInPlace(x, bias);
+                tensor::biasReluBlockInPlace(x.data(), x.cols(), x.rows(),
+                                             x.cols(), bias.row(0),
+                                             /*applyRelu=*/true);
+                return x;
+            },
+            "cols " + std::to_string(cols));
     }
 }
 
@@ -352,14 +318,18 @@ TEST(SimdParity, FusedBiasReluMatchesSeparatePasses)
     x(1, 5) = kNan;
     Tensor bias = randomTensor(81, 1, 23);
 
-    Tensor separate = x;
-    tensor::addBiasInPlace(separate, bias);
-    tensor::reluInPlace(separate);
+    for (simd::Isa isa : simd::runnableIsas()) {
+        simd::ScopedIsa g(isa);
+        Tensor separate = x;
+        tensor::addBiasInPlace(separate, bias);
+        tensor::reluInPlace(separate);
 
-    Tensor fused = x;
-    tensor::biasReluBlockInPlace(fused.data(), fused.cols(), fused.rows(),
-                                 fused.cols(), bias.row(0), true);
-    EXPECT_TRUE(bitwiseEqual(separate, fused));
+        Tensor fused = x;
+        tensor::biasReluBlockInPlace(fused.data(), fused.cols(),
+                                     fused.rows(), fused.cols(),
+                                     bias.row(0), true);
+        EXPECT_TRUE(sameBytes(separate, fused)) << simd::isaName(isa);
+    }
 }
 
 // --- Batched neighbor distances ----------------------------------------
@@ -367,39 +337,40 @@ TEST(SimdParity, FusedBiasReluMatchesSeparatePasses)
 TEST(SimdParity, Dist2BatchMatchesDist2To)
 {
     for (int32_t dim : {3, 8}) {
-        for (int32_t n : {1, 2, 4, 7, 33, 100}) {
+        for (int32_t n : {1, 2, 4, 7, 8, 33, 100}) {
             Tensor pts = randomTensor(200 + dim * 10 + n, n, dim);
             neighbor::PointsView view(pts.data(), n, dim);
             Tensor q = randomTensor(90, 1, dim);
+            const std::string what =
+                "dim " + std::to_string(dim) + " n " + std::to_string(n);
 
             Rng rng(91);
             std::vector<int32_t> idx(n);
             for (int32_t i = 0; i < n; ++i)
                 idx[i] = static_cast<int32_t>(rng.uniformInt(0, n - 1));
 
-            std::vector<float> ref(n), scalar(n), simdOut(n);
-            for (int32_t i = 0; i < n; ++i)
+            std::vector<float> ref(n), rangeRef(n);
+            for (int32_t i = 0; i < n; ++i) {
                 ref[i] = view.dist2To(idx[i], q.row(0));
-            {
-                ScalarGuard g(true);
-                neighbor::dist2Batch(view, idx.data(), n, q.row(0),
-                                     scalar.data());
+                rangeRef[i] = view.dist2To(i, q.row(0));
             }
-            neighbor::dist2Batch(view, idx.data(), n, q.row(0),
-                                 simdOut.data());
-            EXPECT_EQ(std::memcmp(ref.data(), scalar.data(),
-                                  ref.size() * sizeof(float)),
-                      0)
-                << "dim " << dim << " n " << n;
-            EXPECT_EQ(std::memcmp(ref.data(), simdOut.data(),
-                                  ref.size() * sizeof(float)),
-                      0)
-                << "dim " << dim << " n " << n;
-
-            std::vector<float> range(n);
-            neighbor::dist2Range(view, 0, n, q.row(0), range.data());
-            for (int32_t i = 0; i < n; ++i)
-                EXPECT_EQ(range[i], view.dist2To(i, q.row(0)));
+            std::vector<float> batch = expectParityAtEveryIsa(
+                [&] {
+                    std::vector<float> out(n);
+                    neighbor::dist2Batch(view, idx.data(), n, q.row(0),
+                                         out.data());
+                    return out;
+                },
+                what + " batch");
+            EXPECT_TRUE(sameBytes(ref, batch)) << what;
+            std::vector<float> range = expectParityAtEveryIsa(
+                [&] {
+                    std::vector<float> out(n);
+                    neighbor::dist2Range(view, 0, n, q.row(0), out.data());
+                    return out;
+                },
+                what + " range");
+            EXPECT_TRUE(sameBytes(rangeRef, range)) << what;
         }
     }
 
@@ -415,29 +386,25 @@ TEST(SimdParity, Dist2BatchMatchesDist2To)
                 std::vector<int32_t> rows(nq);
                 for (auto &r : rows)
                     r = static_cast<int32_t>(rng.uniformInt(0, n - 1));
+                const std::string what = "block dim " + std::to_string(dim) +
+                                         " n " + std::to_string(n) +
+                                         " ld " + std::to_string(ld);
 
                 size_t total = static_cast<size_t>(nq) * n;
-                std::vector<float> ref(total), scalar(total),
-                    simdOut(total);
+                std::vector<float> ref(total);
                 for (int32_t j = 0; j < nq; ++j)
                     for (int32_t i = 0; i < n; ++i)
                         ref[static_cast<size_t>(j) * n + i] =
                             view.dist2To(i, view.row(rows[j]));
-                {
-                    ScalarGuard g(true);
-                    neighbor::dist2Block(view, rows.data(), nq,
-                                         scalar.data());
-                }
-                neighbor::dist2Block(view, rows.data(), nq,
-                                     simdOut.data());
-                EXPECT_EQ(std::memcmp(ref.data(), scalar.data(),
-                                      total * sizeof(float)),
-                          0)
-                    << "block dim " << dim << " n " << n << " ld " << ld;
-                EXPECT_EQ(std::memcmp(ref.data(), simdOut.data(),
-                                      total * sizeof(float)),
-                          0)
-                    << "block dim " << dim << " n " << n << " ld " << ld;
+                std::vector<float> block = expectParityAtEveryIsa(
+                    [&] {
+                        std::vector<float> out(total);
+                        neighbor::dist2Block(view, rows.data(), nq,
+                                             out.data());
+                        return out;
+                    },
+                    what);
+                EXPECT_TRUE(sameBytes(ref, block)) << what;
             }
         }
     }
@@ -461,28 +428,25 @@ TEST(SimdParity, BackendsReturnIdenticalNeighbors)
         auto backend =
             neighbor::makeBackendByName(name, flat.view(), hints);
 
-        std::vector<std::vector<int32_t>> scalarKnn, scalarBall;
-        {
-            ScalarGuard g(true);
-            for (int32_t q : queries) {
-                scalarKnn.push_back(backend->knn(flat.view().row(q), 12));
-                scalarBall.push_back(
-                    backend->radius(flat.view().row(q), 0.25f, 16));
-            }
-        }
-        for (size_t i = 0; i < queries.size(); ++i) {
-            EXPECT_EQ(scalarKnn[i],
-                      backend->knn(flat.view().row(queries[i]), 12))
-                << name;
-            EXPECT_EQ(scalarBall[i],
-                      backend->radius(flat.view().row(queries[i]), 0.25f,
-                                      16))
-                << name;
-        }
+        // Every query's k-NN and ball result, each preceded by its size.
+        expectParityAtEveryIsa(
+            [&] {
+                std::vector<int32_t> all;
+                for (int32_t q : queries) {
+                    for (const std::vector<int32_t> &found :
+                         {backend->knn(flat.view().row(q), 12),
+                          backend->radius(flat.view().row(q), 0.25f, 16)}) {
+                        all.push_back(static_cast<int32_t>(found.size()));
+                        all.insert(all.end(), found.begin(), found.end());
+                    }
+                }
+                return all;
+            },
+            name);
     }
 }
 
-// --- End-to-end: backends x pipelines ----------------------------------
+// --- End-to-end: backends x pipelines, compiled engines ----------------
 
 TEST(SimdParity, ModulePipelinesBitwiseAcrossBackends)
 {
@@ -519,22 +483,125 @@ TEST(SimdParity, ModulePipelinesBitwiseAcrossBackends)
         Rng wrng(23);
         core::ModuleExecutor ex(cfg, 3, wrng);
 
-        for (core::PipelineKind kind : pipelines) {
-            Tensor scalar, simdOut;
-            {
-                ScalarGuard g(true);
-                Rng srng(29);
-                scalar = ex.run(in, kind, srng).out.features;
-            }
-            {
-                Rng srng(29);
-                simdOut = ex.run(in, kind, srng).out.features;
-            }
-            EXPECT_TRUE(bitwiseEqual(scalar, simdOut))
-                << neighbor::backendName(backend) << " / "
-                << core::pipelineName(kind);
+        for (core::PipelineKind kind : pipelines)
+            expectParityAtEveryIsa(
+                [&] {
+                    Rng srng(29);
+                    return ex.run(in, kind, srng).out.features;
+                },
+                std::string(neighbor::backendName(backend)) + " / " +
+                    core::pipelineName(kind));
+    }
+}
+
+TEST(SimdParity, EngineLogitsAcrossWidths)
+{
+    // One compiled engine per network, its weights packed once, executed
+    // on one context at every width: PointNet++ runs its F steps on the
+    // shared panels, DGCNN its feature-space k-NN in query blocks.
+    for (const core::NetworkConfig &cfg :
+         {core::zoo::pointnetppClassification(),
+          core::zoo::dgcnnClassification()}) {
+        core::NetworkExecutor exec(cfg, /*weightSeed=*/1);
+        core::plan::CompiledEngine engine = core::plan::PlanCompiler::compile(
+            exec, core::PipelineKind::Delayed);
+        auto ctx = engine.makeContext();
+        geom::ModelNetSim sim(17, cfg.numInputPoints);
+        geom::PointCloud cloud = sim.sample().cloud;
+        expectParityAtEveryIsa(
+            [&] { return Tensor(engine.execute(cloud, 7, *ctx)); }, cfg.name);
+    }
+}
+
+// --- The dispatch itself -----------------------------------------------
+
+TEST(SimdDispatch, SelectionRule)
+{
+    using simd::Isa;
+    const simd::CpuFeatures none;
+    const simd::CpuFeatures sse2{true, false, false};
+    const simd::CpuFeatures avx2{true, true, false};
+    const simd::CpuFeatures neon{false, false, true};
+    // The widest compiled copy the CPU runs.
+#if MESORASI_SIMD_AVX2
+    EXPECT_EQ(simd::selectIsa(avx2, false), Isa::Avx2);
+    EXPECT_EQ(simd::selectIsa(sse2, false), Isa::Sse2);
+    EXPECT_EQ(simd::selectIsa(neon, false), Isa::Scalar);
+#elif MESORASI_SIMD_NEON
+    EXPECT_EQ(simd::selectIsa(neon, false), Isa::Neon);
+    EXPECT_EQ(simd::selectIsa(avx2, false), Isa::Scalar);
+#else
+    for (const simd::CpuFeatures &cpu : {sse2, avx2, neon})
+        EXPECT_EQ(simd::selectIsa(cpu, false), Isa::Scalar);
+#endif
+    EXPECT_EQ(simd::selectIsa(none, false), Isa::Scalar);
+    // Forcing scalar wins over every CPU.
+    for (const simd::CpuFeatures &cpu : {none, sse2, avx2, neon})
+        EXPECT_EQ(simd::selectIsa(cpu, true), Isa::Scalar);
+
+    // Start-up applies the rule to the host: its widest runnable copy.
+    EXPECT_EQ(simd::selectIsa(simd::hostCpu(), simd::forceScalar()),
+              simd::isa());
+    EXPECT_EQ(simd::runnableIsas().back(),
+              simd::selectIsa(simd::hostCpu(), false));
+    EXPECT_EQ(simd::runnableIsas().front(), Isa::Scalar);
+}
+
+TEST(SimdDispatch, ForceScalarTakesPrecedence)
+{
+    const simd::Isa widest = simd::runnableIsas().back();
+    simd::ScopedIsa g(widest);
+    {
+        parity::ScalarGuard forced;
+        EXPECT_EQ(simd::isa(), simd::Isa::Scalar);
+        // What the benchmark reports follows the dispatch (assigned the
+        // way its host block reads them).
+        std::string name;
+        int32_t width = 0;
+        name = simd::kIsa;
+        width = simd::kWidth;
+        EXPECT_EQ(name, "scalar");
+        EXPECT_EQ(width, 1);
+        // Pinning a copy while forced does not unforce.
+        simd::ScopedIsa inner(widest);
+        EXPECT_EQ(simd::isa(), simd::Isa::Scalar);
+    }
+    EXPECT_EQ(simd::isa(), widest);
+    for (simd::Isa isa : simd::runnableIsas()) {
+        simd::ScopedIsa pin(isa);
+        std::string name;
+        int32_t width = 0;
+        name = simd::kIsa;
+        width = simd::kWidth;
+        EXPECT_EQ(simd::isa(), isa);
+        EXPECT_EQ(name, simd::isaName(isa));
+        EXPECT_EQ(width, simd::isaWidth(isa));
+    }
+}
+
+TEST(SimdDispatch, RejectsIsaTheCpuLacksOrTheBuildOmits)
+{
+    using simd::Isa;
+    const simd::Isa before = simd::isa();
+    for (Isa isa : {Isa::Sse2, Isa::Avx2, Isa::Neon}) {
+        // A CPU without the extension: typed usage error.
+        try {
+            simd::requireRunnable(isa, simd::CpuFeatures{});
+            ADD_FAILURE() << simd::isaName(isa) << " accepted";
+        } catch (const UsageError &e) {
+            EXPECT_EQ(e.code(), StatusCode::InvalidInput);
+        }
+        // An ISA this binary compiled no copy for, whatever the CPU.
+        if (!simd::compiled(isa)) {
+            EXPECT_THROW(simd::setIsa(isa), UsageError) << simd::isaName(isa);
+            EXPECT_THROW(simd::requireRunnable(isa, {true, true, true}),
+                         UsageError)
+                << simd::isaName(isa);
         }
     }
+    simd::requireRunnable(Isa::Scalar, simd::CpuFeatures{});
+    // A refused pin leaves the dispatch as it was.
+    EXPECT_EQ(simd::isa(), before);
 }
 
 } // namespace
